@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -54,17 +55,23 @@ def load_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _resolve(flag, file_values: Dict[str, str], key: str, default, cast):
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return cast(file_values[key])
-    return default
-
-
 def cmd_run(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    task_name = _resolve(args.task, file_values, "task", None, str)
+
+    def setting(flag, key: str, default, cast=str):
+        """The flag if given, else the config file's value, else the default."""
+        if flag is not None:
+            return flag
+        if key not in file_values:
+            return default
+        try:
+            return cast(file_values[key])
+        except ValueError:
+            raise ConfigError(
+                f"{args.config}: {key} = {file_values[key]!r} is not a valid {cast.__name__}"
+            ) from None
+
+    task_name = setting(args.task, "task", None)
     if task_name is None:
         raise ConfigError("--task is required (regression or classification)")
     if task_name not in TASK_ALIASES:
@@ -72,21 +79,19 @@ def cmd_run(args) -> int:
             f"unknown task {task_name!r}; valid tasks: {', '.join(TASK_ALIASES)}"
         )
     task = TASK_ALIASES[task_name]
-    out_dir = _resolve(args.out, file_values, "out", None, str)
+    out_dir = setting(args.out, "out", None)
     if out_dir is None:
         raise ConfigError("--out directory is required")
-    grid_points = _resolve(args.grid, file_values, "grid", 21, int)
+    grid_points = setting(args.grid, "grid", 21, int)
     config = harness.ExperimentConfig(
         task=task,
-        models=harness.resolve_models(
-            task, _resolve(args.models, file_values, "models", "all", str)
-        ),
-        generator=_resolve(args.generator, file_values, "generator", "auto", str),
-        n_samples=_resolve(args.samples, file_values, "samples", 1000, int),
-        n_features=_resolve(args.features, file_values, "features", 10, int),
+        models=harness.resolve_models(task, setting(args.models, "models", "all")),
+        generator=setting(args.generator, "generator", "auto"),
+        n_samples=setting(args.samples, "samples", 1000, int),
+        n_features=setting(args.features, "features", 10, int),
         ddr_grid=harness.default_grid(grid_points),
-        tuples_per_grid_point=_resolve(args.replicates, file_values, "replicates", 5, int),
-        master_seed=_resolve(args.seed, file_values, "seed", 0, int),
+        tuples_per_grid_point=setting(args.replicates, "replicates", 5, int),
+        master_seed=setting(args.seed, "seed", 0, int),
         out_dir=out_dir,
     )
     reports = harness.run_experiment(config)
@@ -151,18 +156,43 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def read_report_json(path: str) -> dict:
+    """Load a report payload, rejecting any that `summary` cannot tabulate.
+
+    A complete report carries numeric AUCs; an incomplete one carries null
+    for both.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a valid report JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got a {type(payload).__name__}")
+    version = payload.get("schema_version")
+    if version != harness.SCHEMA_VERSION:
+        raise ConfigError(f"{path}: schema_version {version!r} != {harness.SCHEMA_VERSION}")
+    for name in ("model", "auc_train", "auc_test"):
+        if name not in payload:
+            raise ConfigError(f"{path}: missing field {name!r}")
+    if not isinstance(payload["model"], str):
+        raise ConfigError(f"{path}: field 'model' must be a string, got {payload['model']!r}")
+    if payload["auc_train"] is None and payload["auc_test"] is None:
+        return payload
+    for name in ("auc_train", "auc_test"):
+        value = payload[name]
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not numeric or not math.isfinite(value):
+            raise ConfigError(f"{path}: field {name!r} must be a finite number, got {value!r}")
+    return payload
+
+
 def cmd_summary(args) -> int:
     if not args.reports:
         raise ConfigError("at least one report JSON is required")
     payloads = []
     for path in args.reports:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = payload.get("schema_version")
-        if version != harness.SCHEMA_VERSION:
-            raise ConfigError(
-                f"{path}: schema_version {version!r} != {harness.SCHEMA_VERSION}"
-            )
-        if payload.get("auc_test") is None:
+        payload = read_report_json(path)
+        if payload["auc_test"] is None:
             print(f"skipping incomplete report {path}", file=sys.stderr)
             continue
         payloads.append(payload)

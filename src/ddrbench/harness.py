@@ -1,9 +1,16 @@
 """Experiment orchestration: DDR grid sweeps, replication, and persistence.
 
-A sweep cell is one (model, grid point, replicate) triple.  Every cell
-re-derives its own seeded random sources from the master seed, a stable key
-of the grid DDR value, the replicate index, and a stage tag, so cells are
-independent, order-insensitive, and safe to run in parallel.
+The grid point is the unit of work.  At each grid point the DDR tuple chain
+runs once; for each replicate, each generator builds one noisy dataset and
+train/test split, and every model on that generator is fitted and scored on
+those same arrays.  Grid points run in parallel on a thread pool.
+
+A sweep cell is one (model, grid point, replicate) triple with its own
+seeds: each stage derives its random source from the master seed, a stable
+key of the grid DDR value, the replicate index, and a stage tag.  The shared
+stages' seeds never depended on the model, so sharing them changes no output,
+results do not depend on order or thread count, and a failure fails only the
+cells that depend on the failed stage.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -186,20 +194,14 @@ def _split_indices(
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-def _run_cell(
-    config: ExperimentConfig, kind: str, ddr: float, replicate: int
-) -> Tuple[float, float]:
-    """Train and score one model on one freshly generated noisy dataset."""
-    generator_id = config.generator_for(kind)
-    key = _grid_key(ddr)
-    tuples = sample_ddr_tuples(
-        config.n_features,
-        ddr,
-        config.tuples_per_grid_point,
-        make_rng(seed_derivation(config.master_seed, key, 0, "sampler")),
-        burn_in=config.burn_in,
-        thinning=config.thinning,
-    )
+Cell = Tuple[str, int, int]
+Outcome = Tuple[Cell, Optional[Tuple[float, float]], Optional[str]]
+
+
+def _noisy_split(
+    config: ExperimentConfig, generator_id: str, key: int, replicate: int, ddr_tuple
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One replicate's noisy dataset from one generator, as train and test arrays."""
     gen_rng = make_rng(seed_derivation(config.master_seed, key, replicate, "datagen"))
     if generator_id == "two_class":
         clean = GENERATORS[generator_id](
@@ -209,7 +211,7 @@ def _run_cell(
         clean = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
     noisy = datagen.inject_noise(
         clean,
-        tuples[replicate],
+        ddr_tuple,
         make_rng(seed_derivation(config.master_seed, key, replicate, "noise")),
     )
     features = noisy.observed_matrix()
@@ -220,14 +222,71 @@ def _run_cell(
         config.train_fraction,
         seed_derivation(config.master_seed, key, replicate, "split"),
     )
+    return features[train_idx], targets[train_idx], features[test_idx], targets[test_idx]
+
+
+def _score(
+    config: ExperimentConfig, kind: str, key: int, replicate: int, data
+) -> Tuple[float, float]:
+    """Train one model on a replicate's train split; return train and test accuracy."""
+    x_train, y_train, x_test, y_test = data
     spec = ModelSpec(
         kind, seed=seed_derivation(config.master_seed, key, replicate, "model")
     )
-    trained = fit(spec, features[train_idx], targets[train_idx])
+    trained = fit(spec, x_train, y_train)
     metric = f1_score if config.task == CLASSIFICATION else nmse_accuracy
-    train_acc = metric(targets[train_idx], predict(trained, features[train_idx]))
-    test_acc = metric(targets[test_idx], predict(trained, features[test_idx]))
+    train_acc = metric(y_train, predict(trained, x_train))
+    test_acc = metric(y_test, predict(trained, x_test))
     return train_acc, test_acc
+
+
+def _run_grid_point(config: ExperimentConfig, gi: int) -> List[Outcome]:
+    """Score every (model, replicate) cell at one grid point.
+
+    The DDR tuples are sampled once, and each replicate's dataset is built once
+    per generator and shared by every model on that generator.  A failure
+    fails exactly the cells that depend on the failed step.
+    """
+    ddr = config.ddr_grid[gi]
+    key = _grid_key(ddr)
+    replicates = range(config.tuples_per_grid_point)
+    outcomes: List[Outcome] = []
+
+    def fail(kinds, ri, exc):
+        outcomes.extend(
+            ((kind, gi, ri), None, f"{kind} at ddr={ddr:g} rep={ri}: {exc}") for kind in kinds
+        )
+
+    try:
+        tuples = sample_ddr_tuples(
+            config.n_features,
+            ddr,
+            config.tuples_per_grid_point,
+            make_rng(seed_derivation(config.master_seed, key, 0, "sampler")),
+            burn_in=config.burn_in,
+            thinning=config.thinning,
+        )
+    except DdrBenchError as exc:
+        for ri in replicates:
+            fail(config.models, ri, exc)
+        return outcomes
+
+    by_generator: Dict[str, List[str]] = {}
+    for kind in config.models:
+        by_generator.setdefault(config.generator_for(kind), []).append(kind)
+    for ri in replicates:
+        for generator_id, kinds in by_generator.items():
+            try:
+                data = _noisy_split(config, generator_id, key, ri, tuples[ri])
+            except DdrBenchError as exc:
+                fail(kinds, ri, exc)
+                continue
+            for kind in kinds:
+                try:
+                    outcomes.append(((kind, gi, ri), _score(config, kind, key, ri, data), None))
+                except DdrBenchError as exc:
+                    fail((kind,), ri, exc)
+    return outcomes
 
 
 def _thread_count() -> int:
@@ -244,29 +303,18 @@ def _thread_count() -> int:
 def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:
     """Run the full sweep and return one report per model.
 
-    Cell failures abort only their own cell; the affected model's report is
-    marked incomplete, keeps the diagnostics, and carries no AUC.
+    A failed stage fails only the cells that depend on it; each affected
+    model's report is marked incomplete, keeps the diagnostics, and carries
+    no AUC.
     """
-    cells = [
-        (kind, gi, ri)
-        for kind in config.models
-        for gi in range(len(config.ddr_grid))
-        for ri in range(config.tuples_per_grid_point)
-    ]
-
-    def work(cell):
-        kind, gi, ri = cell
-        try:
-            return cell, _run_cell(config, kind, config.ddr_grid[gi], ri), None
-        except DdrBenchError as exc:
-            return cell, None, f"{kind} at ddr={config.ddr_grid[gi]:g} rep={ri}: {exc}"
-
     threads = _thread_count()
+    grid_indices = range(len(config.ddr_grid))
     if threads == 1:
-        outcomes = [work(c) for c in cells]
+        per_point = [_run_grid_point(config, gi) for gi in grid_indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, cells))
+            per_point = list(pool.map(partial(_run_grid_point, config), grid_indices))
+    outcomes = [outcome for point in per_point for outcome in point]
 
     scores = {cell: result for cell, result, _ in outcomes if result is not None}
     failures: Dict[str, List[str]] = {}

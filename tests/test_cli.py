@@ -73,6 +73,14 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "olsr_curve.csv").exists()
 
+    def test_bad_config_value_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"task = regression\nsamples = abc\nout = {tmp_path / 'o'}\n")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(config) in err and "samples" in err and "'abc'" in err
+
     def test_partial_completion_exit_two(self, tmp_path, monkeypatch):
         import ddrbench.harness as harness
         from ddrbench.errors import DomainError
@@ -167,6 +175,30 @@ class TestSummary:
         code = main(["summary", "--reports", str(bad), "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert "schema_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "JSON object"),
+            ('{"schema_version": 1, "auc_test": 0.5}', "'model'"),
+            ('{"schema_version": 1, "model": "olsr", "auc_test": 0.5}', "'auc_train'"),
+            ('{"schema_version": 1, "model": "olsr", "auc_train": 0.5}', "'auc_test'"),
+            (
+                '{"schema_version": 1, "model": "olsr", "auc_train": 0.5, "auc_test": "high"}',
+                "'auc_test'",
+            ),
+            ("model,auc_test\nolsr,0.5\n", "not a valid report JSON"),
+        ],
+        ids=["list", "no-model", "no-auc-train", "no-auc-test", "text-auc", "not-json"],
+    )
+    def test_malformed_report_exit_one(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(text)
+        code = main(["summary", "--reports", str(bad), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert field in err
 
     def test_byte_identical(self, report_dir, tmp_path):
         reports = sorted(str(p) for p in report_dir.glob("*_report.json"))

@@ -1,14 +1,16 @@
 """Harness orchestration: seeding, determinism, aggregation, persistence."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from ddrbench import models
+from ddrbench import datagen, harness, models
 from ddrbench.datagen import CLASSIFICATION, REGRESSION
 from ddrbench.errors import ConfigError, DomainError
 from ddrbench.harness import (
     ExperimentConfig,
+    _grid_key,
     curve_csv_lines,
     default_grid,
     report_payload,
@@ -17,6 +19,7 @@ from ddrbench.harness import (
     seed_derivation,
     write_summary_csv,
 )
+from ddrbench.rng import make_rng
 
 SMALL = dict(
     n_samples=120,
@@ -26,6 +29,10 @@ SMALL = dict(
     burn_in=50,
     thinning=3,
 )
+
+REGRESSORS = ("olsr", "lsvr", "dtr", "knnr")
+# friedman1 needs five features
+FOUR_REGRESSORS = dict(task=REGRESSION, models=REGRESSORS, **{**SMALL, "n_features": 5})
 
 
 class TestSeedDerivation:
@@ -94,14 +101,18 @@ class TestRunExperiment:
         assert report_payload(a) == report_payload(b)
 
     def test_parallel_serial_equivalence(self, monkeypatch):
-        cfg = ExperimentConfig(
-            task=CLASSIFICATION, models=("blrc", "knnc"), master_seed=11, **SMALL
-        )
-        monkeypatch.setenv("DDRBENCH_THREADS", "1")
-        serial = [report_payload(r) for r in run_experiment(cfg)]
-        monkeypatch.setenv("DDRBENCH_THREADS", "4")
-        parallel = [report_payload(r) for r in run_experiment(cfg)]
-        assert serial == parallel
+        # the regression config shares datasets across two generators
+        for cfg in (
+            ExperimentConfig(
+                task=CLASSIFICATION, models=("blrc", "knnc"), master_seed=11, **SMALL
+            ),
+            ExperimentConfig(master_seed=11, **FOUR_REGRESSORS),
+        ):
+            monkeypatch.setenv("DDRBENCH_THREADS", "1")
+            serial = [report_payload(r) for r in run_experiment(cfg)]
+            monkeypatch.setenv("DDRBENCH_THREADS", "4")
+            parallel = [report_payload(r) for r in run_experiment(cfg)]
+            assert serial == parallel
 
     def test_olsr_near_perfect_at_full_ddr(self):
         cfg = ExperimentConfig(
@@ -151,6 +162,121 @@ class TestRunExperiment:
         shared = {p.ddr: p for p in b.curve.points if p.ddr in (0.0, 0.5, 1.0)}
         for p in a.curve.points:
             assert p.test_accuracy == shared[p.ddr].test_accuracy
+
+
+def _count_sampler(monkeypatch):
+    calls = Counter()
+    original = harness.sample_ddr_tuples
+
+    def counting(*args, **kwargs):
+        calls["sampler"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("ddrbench.harness.sample_ddr_tuples", counting)
+    return calls
+
+
+def _cell_seed(cfg, ddr, replicate, stage):
+    return seed_derivation(cfg.master_seed, _grid_key(ddr), replicate, stage)
+
+
+class TestSharedWork:
+    CFG = ExperimentConfig(master_seed=17, **FOUR_REGRESSORS)
+
+    def test_each_stage_runs_once_per_unit(self, monkeypatch):
+        calls = _count_sampler(monkeypatch)
+        for generator_id, original in list(harness.GENERATORS.items()):
+            def counting(*args, _id=generator_id, _fn=original, **kwargs):
+                calls[_id] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setitem(harness.GENERATORS, generator_id, counting)
+        original_noise, original_fit = datagen.inject_noise, harness.fit
+
+        def counting_noise(*args, **kwargs):
+            calls["noise"] += 1
+            return original_noise(*args, **kwargs)
+
+        def counting_fit(spec, *args):
+            calls[spec.kind] += 1
+            return original_fit(spec, *args)
+
+        monkeypatch.setattr(datagen, "inject_noise", counting_noise)
+        monkeypatch.setattr("ddrbench.harness.fit", counting_fit)
+        reports = run_experiment(self.CFG)
+        assert all(r.complete for r in reports)
+        points, reps = len(self.CFG.ddr_grid), self.CFG.tuples_per_grid_point
+        assert calls["sampler"] == points
+        assert calls["linear"] == calls["friedman1"] == points * reps
+        assert calls["two_class"] == 0
+        assert calls["noise"] == 2 * points * reps
+        for kind in REGRESSORS:
+            assert calls[kind] == points * reps
+
+    def test_fit_failure_fails_only_its_cell(self, monkeypatch):
+        clean = {r.model.kind: report_payload(r) for r in run_experiment(self.CFG)}
+        bad_seed = _cell_seed(self.CFG, 0.5, 1, "model")
+        original = harness.fit
+
+        def failing(spec, X, y):
+            if spec.kind == "dtr" and spec.seed == bad_seed:
+                raise DomainError("synthetic fit failure")
+            return original(spec, X, y)
+
+        monkeypatch.setattr("ddrbench.harness.fit", failing)
+        reports = {r.model.kind: r for r in run_experiment(self.CFG)}
+        assert reports["dtr"].incomplete_cells == (
+            "dtr at ddr=0.5 rep=1: synthetic fit failure",
+        )
+        for kind in ("olsr", "lsvr", "knnr"):
+            assert report_payload(reports[kind]) == clean[kind]
+
+    def test_generator_failure_fails_only_its_models(self, monkeypatch):
+        clean = {r.model.kind: report_payload(r) for r in run_experiment(self.CFG)}
+        bad_state = make_rng(_cell_seed(self.CFG, 0.5, 1, "datagen")).bit_generator.state
+        original = harness.GENERATORS["friedman1"]
+
+        def failing(n_samples, n_features, rng):
+            if rng.bit_generator.state == bad_state:
+                raise DomainError("synthetic datagen failure")
+            return original(n_samples, n_features, rng)
+
+        monkeypatch.setitem(harness.GENERATORS, "friedman1", failing)
+        reports = {r.model.kind: r for r in run_experiment(self.CFG)}
+        for kind in ("dtr", "knnr"):
+            assert reports[kind].incomplete_cells == (
+                f"{kind} at ddr=0.5 rep=1: synthetic datagen failure",
+            )
+        for kind in ("olsr", "lsvr"):
+            assert report_payload(reports[kind]) == clean[kind]
+
+    def test_sampler_failure_fails_every_cell_at_its_point(self, monkeypatch):
+        original = harness.sample_ddr_tuples
+
+        def failing(n, target, *args, **kwargs):
+            if target == 0.5:
+                raise DomainError("synthetic sampler failure")
+            return original(n, target, *args, **kwargs)
+
+        monkeypatch.setattr("ddrbench.harness.sample_ddr_tuples", failing)
+        for report in run_experiment(self.CFG):
+            kind = report.model.kind
+            assert report.incomplete_cells == tuple(
+                f"{kind} at ddr=0.5 rep={ri}: synthetic sampler failure" for ri in (0, 1)
+            )
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+    def test_invalid_thread_count_fails_before_any_work(self, monkeypatch, raw):
+        calls = _count_sampler(monkeypatch)
+        pools = []
+        monkeypatch.setattr(
+            "ddrbench.harness.ThreadPoolExecutor", lambda *a, **k: pools.append(k)
+        )
+        monkeypatch.setenv("DDRBENCH_THREADS", raw)
+        with pytest.raises(ConfigError, match="DDRBENCH_THREADS"):
+            run_experiment(self.CFG)
+        assert calls["sampler"] == 0
+        assert pools == []
 
 
 class TestPersistence:
