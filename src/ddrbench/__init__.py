@@ -36,7 +36,7 @@ from .evaluation import (
 from .harness import ExperimentConfig, run_experiment, seed_derivation
 from .models import ModelSpec, TrainedModel, fit, predict
 from .rng import RandomSource, make_rng
-from .sampler import Box, BoxSlice, DdrTuple, hit_and_run, sample_ddr_tuples
+from .sampler import BoxSlice, DdrTuple, sample_ddr_tuples
 from .signals import (
     DdrValue,
     DecomposedSignal,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyCurve",
-    "Box",
     "BoxSlice",
     "CLASSIFICATION",
     "CleanDataset",
@@ -91,7 +90,6 @@ __all__ = [
     "gen_friedman1",
     "gen_linear_regression",
     "gen_two_class",
-    "hit_and_run",
     "inject_noise",
     "make_rng",
     "matrix_ddr_power_ratio",

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from . import harness, svg
 from .datagen import CLASSIFICATION, REGRESSION
 from .errors import ConfigError, DdrBenchError
-from .models import TASK_OF_KIND
+from .models import MODELS
 
 TASK_ALIASES = {"regression": REGRESSION, "classification": CLASSIFICATION}
 
@@ -133,7 +133,7 @@ def read_curve_csv(path: str) -> Dict[str, List[float]]:
 def _model_from_filename(path: str) -> Optional[str]:
     stem = Path(path).stem
     kind = stem.split("_", 1)[0].lower()
-    return kind if kind in TASK_OF_KIND else None
+    return kind if kind in MODELS else None
 
 
 def cmd_plot(args) -> int:
@@ -146,7 +146,7 @@ def cmd_plot(args) -> int:
         series.append((f"{prefix}train", curve["ddr"], curve["train"]))
         series.append((f"{prefix}test", curve["ddr"], curve["test"]))
         if ylabel is None and kind is not None:
-            ylabel = YLABEL_BY_TASK[TASK_OF_KIND[kind]]
+            ylabel = YLABEL_BY_TASK[MODELS[kind].task]
     title = args.title
     if title is None:
         kinds = [k for k in (_model_from_filename(p) for p in args.curves) if k]

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 
 from .errors import DegenerateDeterministicError, DomainError
 from .rng import RandomSource
 from .sampler import DdrTuple
-from .signals import DdrValue, DecomposedSignal, Signal, matrix_ddr_two_norm
-from .standardize import ddr_invariant_standardize
+from .signals import DdrValue, matrix_ddr_two_norm
+from .standardize import standardize_params
 
 REGRESSION = "regression"
 CLASSIFICATION = "binary-classification"
+
+# Distance of each two_class cluster centre from the origin, along the separation axis.
+CLASS_SEP = 2.0
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -59,54 +62,29 @@ class CleanDataset:
         object.__setattr__(self, "features", _freeze(features))
         object.__setattr__(self, "targets", _freeze(targets))
 
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, self.features, self.targets)
-
 
 @dataclass(frozen=True, eq=False)
 class NoisyDataset:
-    """Standardized noisy feature columns with targets copied from the clean data."""
+    """Standardized noisy features, kept as their deterministic and noise parts.
 
-    columns: Tuple[DecomposedSignal, ...]
+    Column j of both matrices is feature j at DDR ``ddr_tuple.rs[j]``; the
+    targets are the clean dataset's, untouched.
+    """
+
+    deterministic: np.ndarray
+    noise: np.ndarray
     targets: np.ndarray
     ddr_tuple: DdrTuple
-    matrix_ddr: DdrValue
     task: str
     generator_id: str
 
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.ddr_tuple):
-            raise DomainError("one DDR per feature column is required")
-        object.__setattr__(self, "targets", _freeze(self.targets))
-        expected = matrix_ddr_two_norm(self.ddr_tuple.rs)
-        if abs(float(self.matrix_ddr) - float(expected)) > 1e-12:
-            raise DomainError("matrix_ddr must equal the two-norm of the tuple")
+    @property
+    def observed(self) -> np.ndarray:
+        return self.deterministic + self.noise
 
     @property
-    def n_samples(self) -> int:
-        return len(self.columns[0])
-
-    def observed_matrix(self) -> np.ndarray:
-        return np.column_stack([c.observed.values for c in self.columns])
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, self.observed_matrix(), self.targets)
-
-
-def _write_csv(path, features: np.ndarray, targets: np.ndarray) -> None:
-    header = ",".join(f"f{j + 1}" for j in range(features.shape[1])) + ",target"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, y in zip(features, targets):
-            fh.write(",".join(f"{v:.6f}" for v in row) + f",{y:.6f}\n")
+    def matrix_ddr(self) -> DdrValue:
+        return matrix_ddr_two_norm(self.ddr_tuple.rs)
 
 
 def gen_linear_regression(
@@ -149,7 +127,7 @@ def informative_count(n_features: int) -> int:
 
 
 def gen_two_class(
-    n_samples: int, n_features: int, rng: RandomSource, class_sep: float = 2.0
+    n_samples: int, n_features: int, rng: RandomSource, class_sep: float = CLASS_SEP
 ) -> CleanDataset:
     """Two identity-covariance Gaussian clusters at +/- class_sep along a random axis.
 
@@ -175,9 +153,8 @@ def gen_two_class(
     return CleanDataset(features[order], labels[order], CLASSIFICATION, "two_class")
 
 
-GeneratorFn = Callable[..., CleanDataset]
-
-GENERATORS: Dict[str, GeneratorFn] = {
+# Every generator is called as fn(n_samples, n_features, rng).
+GENERATORS: Dict[str, Callable[..., CleanDataset]] = {
     "linear": gen_linear_regression,
     "friedman1": gen_friedman1,
     "two_class": gen_two_class,
@@ -195,28 +172,32 @@ def inject_noise(
 ) -> NoisyDataset:
     """Standardize every clean feature column at its per-column DDR.
 
-    Targets are copied untouched.  A constant clean column is only legal at
-    r = 0; otherwise the degenerate-column error names the offending index.
+    Column j becomes alpha_j * x_j + beta_j plus N(0, 1 - r_j) noise, with the
+    parameters of `standardize_params`; the noise of column j is the j-th
+    block of n draws from rng, as a per-column loop would draw it.  Targets
+    carry over untouched.  A constant clean column is only legal at r = 0;
+    otherwise the degenerate-column error names the offending index.
     """
-    if len(ddr_tuple) != clean.n_features:
+    n_samples, n_features = clean.features.shape
+    if len(ddr_tuple) != n_features:
         raise DomainError(
-            f"tuple has {len(ddr_tuple)} entries for {clean.n_features} columns"
+            f"tuple has {len(ddr_tuple)} entries for {n_features} columns"
         )
-    columns = []
+    alpha, beta, variance = np.empty(n_features), np.empty(n_features), np.empty(n_features)
     for j, r in enumerate(ddr_tuple.rs):
         try:
-            columns.append(
-                ddr_invariant_standardize(Signal(clean.features[:, j]), r, rng)
-            )
+            params = standardize_params(clean.features[:, j], r)
         except DegenerateDeterministicError as exc:
             raise DegenerateDeterministicError(
                 f"feature column {j} is constant but requests DDR {float(r):g}"
             ) from exc
+        alpha[j], beta[j], variance[j] = params.alpha, params.beta, params.noise_variance
+    noise = rng.normal(0.0, np.sqrt(variance)[:, None], size=(n_features, n_samples)).T
     return NoisyDataset(
-        columns=tuple(columns),
+        deterministic=alpha * clean.features + beta,
+        noise=noise,
         targets=clean.targets,
         ddr_tuple=ddr_tuple,
-        matrix_ddr=matrix_ddr_two_norm(ddr_tuple.rs),
         task=clean.task,
         generator_id=clean.generator_id,
     )

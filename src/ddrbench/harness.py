@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import datagen
-from .datagen import CLASSIFICATION, GENERATOR_TASKS, GENERATORS, REGRESSION
+from .datagen import CLASS_SEP, CLASSIFICATION, GENERATOR_TASKS, GENERATORS, REGRESSION
 from .errors import ConfigError, DdrBenchError
 from .evaluation import (
     AccuracyCurve,
@@ -36,34 +36,13 @@ from .evaluation import (
     nmse_accuracy,
     report_from_curve,
 )
-from .models import (
-    CLASSIFICATION_KINDS,
-    MODEL_KINDS,
-    REGRESSION_KINDS,
-    TASK_OF_KIND,
-    ModelSpec,
-    fit,
-    predict,
-)
+from .models import CLASSIFICATION_KINDS, MODELS, REGRESSION_KINDS, ModelSpec, fit, predict
 from .rng import fnv1a64, make_rng, mix_seed
 from .sampler import sample_ddr_tuples
 
 SCHEMA_VERSION = 1
 
 THREADS_ENV = "DDRBENCH_THREADS"
-
-# Canonical generator per model kind, mirroring the benchmark pairings.
-DEFAULT_GENERATOR: Dict[str, str] = {
-    "olsr": "linear",
-    "lsvr": "linear",
-    "dtr": "friedman1",
-    "knnr": "friedman1",
-    "blrc": "two_class",
-    "dtc": "two_class",
-    "knnc": "two_class",
-    "lsvc": "two_class",
-    "mlpc": "two_class",
-}
 
 
 def default_grid(points: int = 21) -> Tuple[float, ...]:
@@ -85,7 +64,6 @@ class ExperimentConfig:
     ddr_grid: Tuple[float, ...] = field(default_factory=default_grid)
     tuples_per_grid_point: int = 5
     train_fraction: float = 0.8
-    class_sep: float = 2.0
     burn_in: int = 1000
     thinning: int = 10
     master_seed: int = 0
@@ -100,11 +78,11 @@ class ExperimentConfig:
         if not models:
             raise ConfigError("at least one model is required")
         for kind in models:
-            if kind not in MODEL_KINDS:
+            if kind not in MODELS:
                 raise ConfigError(
-                    f"unknown model {kind!r}; valid models: {', '.join(MODEL_KINDS)}"
+                    f"unknown model {kind!r}; valid models: {', '.join(MODELS)}"
                 )
-            if TASK_OF_KIND[kind] != self.task:
+            if MODELS[kind].task != self.task:
                 raise ConfigError(f"model {kind!r} does not belong to task {self.task!r}")
         object.__setattr__(self, "models", models)
         if self.generator != "auto":
@@ -139,7 +117,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{kind} uses two_class, which needs an even n_samples")
 
     def generator_for(self, kind: str) -> str:
-        return DEFAULT_GENERATOR[kind] if self.generator == "auto" else self.generator
+        return MODELS[kind].generator if self.generator == "auto" else self.generator
 
     def echo(self) -> dict:
         return {
@@ -151,7 +129,7 @@ class ExperimentConfig:
             "ddr_grid": list(self.ddr_grid),
             "tuples_per_grid_point": self.tuples_per_grid_point,
             "train_fraction": self.train_fraction,
-            "class_sep": self.class_sep,
+            "class_sep": CLASS_SEP,
             "burn_in": self.burn_in,
             "thinning": self.thinning,
         }
@@ -203,18 +181,13 @@ def _noisy_split(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One replicate's noisy dataset from one generator, as train and test arrays."""
     gen_rng = make_rng(seed_derivation(config.master_seed, key, replicate, "datagen"))
-    if generator_id == "two_class":
-        clean = GENERATORS[generator_id](
-            config.n_samples, config.n_features, gen_rng, class_sep=config.class_sep
-        )
-    else:
-        clean = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
+    clean = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
     noisy = datagen.inject_noise(
         clean,
         ddr_tuple,
         make_rng(seed_derivation(config.master_seed, key, replicate, "noise")),
     )
-    features = noisy.observed_matrix()
+    features = noisy.observed
     targets = noisy.targets
     train_idx, test_idx = _split_indices(
         targets,

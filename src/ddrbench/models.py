@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -20,30 +20,9 @@ from .datagen import CLASSIFICATION, REGRESSION
 from .errors import DomainError
 from .rng import make_rng
 
-REGRESSION_KINDS: Tuple[str, ...] = ("olsr", "dtr", "knnr", "lsvr")
-CLASSIFICATION_KINDS: Tuple[str, ...] = ("blrc", "dtc", "knnc", "lsvc", "mlpc")
-MODEL_KINDS: Tuple[str, ...] = REGRESSION_KINDS + CLASSIFICATION_KINDS
-
-TASK_OF_KIND: Dict[str, str] = {
-    **{kind: REGRESSION for kind in REGRESSION_KINDS},
-    **{kind: CLASSIFICATION for kind in CLASSIFICATION_KINDS},
-}
-
-DEFAULT_PARAMS: Dict[str, Dict[str, object]] = {
-    "olsr": {},
-    "dtr": {"max_depth": 10, "min_samples_split": 80},
-    "dtc": {"max_depth": 10, "min_samples_split": 80},
-    "knnr": {"k": 5},
-    "knnc": {"k": 5},
-    "lsvr": {"epsilon": 0.1, "c": 1.0, "epochs": 200, "step": 1e-3},
-    "lsvc": {"c": 1.0, "epochs": 200, "step": 1e-3},
-    "blrc": {"iterations": 500, "step": 0.1},
-    "mlpc": {"hidden_units": 32, "epochs": 300, "step": 0.05, "init_scale": 0.5},
-}
-
 
 def _validate_params(kind: str, params: Mapping[str, object]) -> None:
-    known = set(DEFAULT_PARAMS[kind])
+    known = set(MODELS[kind].defaults)
     unknown = set(params) - known
     if unknown:
         raise DomainError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
@@ -85,11 +64,11 @@ class ModelSpec:
 
     @property
     def task(self) -> str:
-        return TASK_OF_KIND[self.kind]
+        return MODELS[self.kind].task
 
     @property
     def hyperparameters(self) -> Dict[str, object]:
-        merged = dict(DEFAULT_PARAMS[self.kind])
+        merged = dict(MODELS[self.kind].defaults)
         merged.update(self.params)
         return merged
 
@@ -420,26 +399,56 @@ class MlpClassifier:
         return (self.predict_proba(X) >= 0.5).astype(np.float64)
 
 
-def _build(spec: ModelSpec):
-    hp = spec.hyperparameters
-    kind = spec.kind
-    if kind == "olsr":
-        return OlsRegressor()
-    if kind in ("dtr", "dtc"):
-        return CartTree(hp["max_depth"], hp["min_samples_split"], kind == "dtc")
-    if kind in ("knnr", "knnc"):
-        return KnnModel(hp["k"], kind == "knnc")
-    if kind == "lsvr":
-        return LinearSvr(hp["epsilon"], hp["c"], hp["epochs"], hp["step"])
-    if kind == "lsvc":
-        return LinearSvc(hp["c"], hp["epochs"], hp["step"])
-    if kind == "blrc":
-        return LogisticClassifier(hp["iterations"], hp["step"])
-    if kind == "mlpc":
-        return MlpClassifier(
-            hp["hidden_units"], hp["epochs"], hp["step"], hp["init_scale"], spec.seed
-        )
-    raise DomainError(f"unknown model kind {kind!r}")
+class ModelEntry(NamedTuple):
+    """One learner: its task, the generator it is swept on, its defaults, its builder."""
+
+    task: str
+    generator: str
+    defaults: Mapping[str, object]
+    build: Callable[..., object]  # build(seed=..., **hyperparameters) -> unfitted learner
+
+
+def _unseeded(cls, **fixed):
+    return lambda seed, **hp: cls(**fixed, **hp)
+
+
+_TREE = {"max_depth": 10, "min_samples_split": 80}
+_LINEAR_SVM = {"c": 1.0, "epochs": 200, "step": 1e-3}
+
+# The one model table; its order is the order of `--models all`.
+MODELS: Dict[str, ModelEntry] = {
+    "olsr": ModelEntry(REGRESSION, "linear", {}, _unseeded(OlsRegressor)),
+    "dtr": ModelEntry(
+        REGRESSION, "friedman1", _TREE, _unseeded(CartTree, classification=False)
+    ),
+    "knnr": ModelEntry(
+        REGRESSION, "friedman1", {"k": 5}, _unseeded(KnnModel, classification=False)
+    ),
+    "lsvr": ModelEntry(
+        REGRESSION, "linear", {"epsilon": 0.1, **_LINEAR_SVM}, _unseeded(LinearSvr)
+    ),
+    "blrc": ModelEntry(
+        CLASSIFICATION, "two_class", {"iterations": 500, "step": 0.1},
+        _unseeded(LogisticClassifier),
+    ),
+    "dtc": ModelEntry(
+        CLASSIFICATION, "two_class", _TREE, _unseeded(CartTree, classification=True)
+    ),
+    "knnc": ModelEntry(
+        CLASSIFICATION, "two_class", {"k": 5}, _unseeded(KnnModel, classification=True)
+    ),
+    "lsvc": ModelEntry(CLASSIFICATION, "two_class", _LINEAR_SVM, _unseeded(LinearSvc)),
+    "mlpc": ModelEntry(
+        CLASSIFICATION, "two_class",
+        {"hidden_units": 32, "epochs": 300, "step": 0.05, "init_scale": 0.5},
+        MlpClassifier,
+    ),
+}
+MODEL_KINDS: Tuple[str, ...] = tuple(MODELS)
+REGRESSION_KINDS: Tuple[str, ...] = tuple(k for k, m in MODELS.items() if m.task == REGRESSION)
+CLASSIFICATION_KINDS: Tuple[str, ...] = tuple(
+    k for k, m in MODELS.items() if m.task == CLASSIFICATION
+)
 
 
 def _check_features(features: np.ndarray) -> np.ndarray:
@@ -459,10 +468,10 @@ def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedMo
         raise DomainError("targets must be one value per feature row")
     if not np.all(np.isfinite(y)):
         raise DomainError("targets must all be finite")
-    task = TASK_OF_KIND[spec.kind]
+    task = spec.task
     if task == CLASSIFICATION and not set(np.unique(y)) <= {0.0, 1.0}:
         raise DomainError("classification targets must be 0/1 labels")
-    impl = _build(spec).fit(X, y)
+    impl = MODELS[spec.kind].build(seed=spec.seed, **spec.hyperparameters).fit(X, y)
     return TrainedModel(spec=spec, task=task, n_features=X.shape[1], impl=impl)
 
 

@@ -51,69 +51,18 @@ class DdrTuple:
         return len(self.rs)
 
 
-class Box:
-    """Axis-aligned box; its affine hull is the whole ambient space."""
-
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=np.float64)
-        self.upper = np.asarray(upper, dtype=np.float64)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise DomainError("box bounds must be matching one-dimensional arrays")
-        if np.any(self.upper < self.lower):
-            raise DomainError("box upper bounds must dominate lower bounds")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(
-            np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
-        )
-
-    def random_direction(self, rng: RandomSource) -> np.ndarray:
-        for _ in range(_MAX_DIRECTION_RETRIES):
-            d = rng.standard_normal(self.dim)
-            norm = float(np.linalg.norm(d))
-            if norm > 1e-12:
-                return d / norm
-        raise SamplerError("could not draw a usable direction")
-
-    def chord(self, x: np.ndarray, d: np.ndarray) -> Tuple[float, float]:
-        """Lambda interval of {x + lam * d} inside the box faces."""
-        lo, hi = -math.inf, math.inf
-        for i in range(self.dim):
-            if abs(d[i]) <= 1e-16:
-                continue
-            a = (self.lower[i] - x[i]) / d[i]
-            b = (self.upper[i] - x[i]) / d[i]
-            if a > b:
-                a, b = b, a
-            lo = max(lo, a)
-            hi = min(hi, b)
-        if not math.isfinite(lo) or not math.isfinite(hi):
-            raise SamplerError("direction is parallel to every box face")
-        return lo, hi
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
-
-class BoxSlice(Box):
-    """Unit box intersected with the hyperplane sum(x) = total.
+class BoxSlice:
+    """The unit box [0, 1]^dim cut by the hyperplane sum(x) = total.
 
     Directions live in the hyperplane's tangent space (components sum to
     zero), so every step preserves the coordinate sum by construction.
     """
 
     def __init__(self, dim: int, total: float):
-        super().__init__(np.zeros(dim), np.ones(dim))
         if not 0.0 <= total <= dim:
             raise DomainError(f"slice level {total!r} lies outside [0, {dim}]")
+        self.dim = dim
         self.total = float(total)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return super().contains(x, tol) and abs(float(np.sum(x)) - self.total) <= tol
 
     def random_direction(self, rng: RandomSource) -> np.ndarray:
         for _ in range(_MAX_DIRECTION_RETRIES):
@@ -124,15 +73,32 @@ class BoxSlice(Box):
                 return d / norm
         raise SamplerError("could not draw a usable in-slice direction")
 
+    def chord(self, x: np.ndarray, d: np.ndarray) -> Tuple[float, float]:
+        """Lambda interval of {x + lam * d} inside the box faces."""
+        lo, hi = -math.inf, math.inf
+        for i in range(self.dim):
+            if abs(d[i]) <= 1e-16:
+                continue
+            a = (0.0 - x[i]) / d[i]
+            b = (1.0 - x[i]) / d[i]
+            if a > b:
+                a, b = b, a
+            lo = max(lo, a)
+            hi = min(hi, b)
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise SamplerError("direction is parallel to every box face")
+        return lo, hi
+
     def clamp(self, x: np.ndarray) -> np.ndarray:
         # Clip into the box, then spread the (tiny) sum error evenly so the
         # slice equation keeps holding to machine precision.
-        x = np.clip(x, self.lower, self.upper)
+        x = np.clip(x, 0.0, 1.0)
         x = x + (self.total - float(np.sum(x))) / self.dim
-        return np.clip(x, self.lower, self.upper)
+        return np.clip(x, 0.0, 1.0)
 
 
-def _step(region: Box, x: np.ndarray, rng: RandomSource) -> np.ndarray:
+def _step(region: BoxSlice, x: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """One hit-and-run step: a uniform point on the chord along a random direction."""
     for _ in range(_MAX_DIRECTION_RETRIES):
         d = region.random_direction(rng)
         lo, hi = region.chord(x, d)
@@ -140,31 +106,6 @@ def _step(region: Box, x: np.ndarray, rng: RandomSource) -> np.ndarray:
             lam = rng.uniform(lo, hi)
             return region.clamp(x + lam * d)
     raise SamplerError("no chord of positive length after bounded retries")
-
-
-def hit_and_run(
-    start, region: Box, iterations: int, rng: RandomSource
-) -> np.ndarray:
-    """Run the chord-sampling chain and return iterations + 2 points.
-
-    Each step draws a uniform direction on the unit sphere of the region's
-    affine hull, intersects the line through the current point with the
-    region, and jumps to a uniform point on that chord.  The output includes
-    the start point, so even iterations = 0 yields two in-region points.
-    """
-    if iterations < 0:
-        raise DomainError("iterations must be non-negative")
-    x = np.array(start, dtype=np.float64)
-    if x.shape != (region.dim,):
-        raise DomainError(f"start must be a point of dimension {region.dim}")
-    if not region.contains(x):
-        raise DomainError("start point lies outside the region")
-    points = np.empty((iterations + 2, region.dim))
-    points[0] = x
-    for i in range(iterations + 1):
-        x = _step(region, x, rng)
-        points[i + 1] = x
-    return points
 
 
 def sample_ddr_tuples(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddrbench.datagen import (
+    GENERATORS,
     REGRESSION,
     gen_friedman1,
     gen_linear_regression,
@@ -16,8 +17,16 @@ from ddrbench.errors import DegenerateDeterministicError, DomainError
 from ddrbench.evaluation import f1_score
 from ddrbench.models import ModelSpec, fit, predict
 from ddrbench.rng import make_rng
-from ddrbench.sampler import DdrTuple
-from ddrbench.signals import DdrValue, ddr_approx, matrix_ddr_two_norm, power
+from ddrbench.sampler import DdrTuple, sample_ddr_tuples
+from ddrbench.signals import (
+    DdrValue,
+    DecomposedSignal,
+    Signal,
+    ddr_approx,
+    matrix_ddr_two_norm,
+    power,
+)
+from ddrbench.standardize import ddr_invariant_standardize
 
 
 def uniform_tuple(rs):
@@ -120,35 +129,51 @@ class TestTwoClass:
         assert np.array_equal(a.targets, b.targets)
 
 
+def column(noisy, j):
+    return DecomposedSignal(Signal(noisy.deterministic[:, j]), Signal(noisy.noise[:, j]))
+
+
 class TestInjectNoise:
+    @pytest.mark.parametrize("generator_id", sorted(GENERATORS))
+    @pytest.mark.parametrize("big_r", [0.0, 0.3, 1.0])
+    def test_matches_per_column_standardization(self, generator_id, big_r):
+        clean = GENERATORS[generator_id](200, 6, make_rng(30))
+        t = sample_ddr_tuples(6, big_r, 1, make_rng(31), burn_in=50)[0]
+        noisy = inject_noise(clean, t, make_rng(32))
+        rng = make_rng(32)
+        for j, r in enumerate(t.rs):
+            col = ddr_invariant_standardize(clean.features[:, j], r, rng)
+            assert noisy.deterministic[:, j].tobytes() == col.deterministic.values.tobytes()
+            assert noisy.noise[:, j].tobytes() == col.noise.values.tobytes()
+
     def test_noiseless_tuple_is_affine(self):
         clean = gen_linear_regression(200, 3, make_rng(11))
         noisy = inject_noise(clean, uniform_tuple([1.0, 1.0, 1.0]), make_rng(12))
         assert np.array_equal(noisy.targets, clean.targets)
-        for j, col in enumerate(noisy.columns):
-            assert np.array_equal(col.noise.values, np.zeros(200))
-            corr = np.corrcoef(clean.features[:, j], col.observed.values)[0, 1]
+        for j in range(3):
+            assert np.array_equal(noisy.noise[:, j], np.zeros(200))
+            corr = np.corrcoef(clean.features[:, j], noisy.observed[:, j])[0, 1]
             assert corr == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_tuple_pure_noise(self):
         clean = gen_linear_regression(200, 2, make_rng(13))
         noisy = inject_noise(clean, uniform_tuple([0.0, 0.0]), make_rng(14))
-        for col in noisy.columns:
-            assert float(ddr_approx(col)) == 0.0
+        for j in range(2):
+            assert float(ddr_approx(column(noisy, j))) == 0.0
 
     def test_per_column_ddr_tracks_tuple(self):
         clean = gen_linear_regression(10_000, 2, make_rng(15))
         noisy = inject_noise(clean, uniform_tuple([0.25, 0.75]), make_rng(16))
-        assert float(ddr_approx(noisy.columns[0])) == pytest.approx(0.25, abs=0.05)
-        assert float(ddr_approx(noisy.columns[1])) == pytest.approx(0.75, abs=0.05)
+        assert float(ddr_approx(column(noisy, 0))) == pytest.approx(0.25, abs=0.05)
+        assert float(ddr_approx(column(noisy, 1))) == pytest.approx(0.75, abs=0.05)
 
     def test_standardized_moments_at_scale(self):
         clean = gen_friedman1(10_000, 5, make_rng(17))
         noisy = inject_noise(
             clean, uniform_tuple([0.1, 0.3, 0.5, 0.7, 0.9]), make_rng(18)
         )
-        for col in noisy.columns:
-            obs = col.observed.values
+        for j in range(5):
+            obs = noisy.observed[:, j]
             assert abs(float(np.mean(obs))) <= 0.05
             assert abs(float(power(obs)) - 1.0) <= 0.05
 
@@ -179,21 +204,4 @@ class TestInjectNoise:
         features = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
         clean = CleanDataset(features, np.arange(10.0), REGRESSION, "linear")
         noisy = inject_noise(clean, uniform_tuple([0.5, 0.0]), make_rng(24))
-        assert np.array_equal(noisy.columns[1].deterministic.values, np.zeros(10))
-
-
-class TestCsvExport:
-    def test_clean_csv_round_trip(self, tmp_path):
-        data = gen_linear_regression(10, 2, make_rng(25))
-        path = tmp_path / "clean.csv"
-        data.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "f1,f2,target"
-        assert len(lines) == 11
-
-    def test_noisy_csv_header(self, tmp_path):
-        clean = gen_linear_regression(8, 3, make_rng(26))
-        noisy = inject_noise(clean, uniform_tuple([1.0, 1.0, 1.0]), make_rng(27))
-        path = tmp_path / "noisy.csv"
-        noisy.to_csv(path)
-        assert path.read_text().splitlines()[0] == "f1,f2,f3,target"
+        assert np.array_equal(noisy.deterministic[:, 1], np.zeros(10))

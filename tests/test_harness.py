@@ -78,7 +78,27 @@ class TestConfigValidation:
     def test_resolve_models(self):
         assert resolve_models(REGRESSION, "all") == ("olsr", "dtr", "knnr", "lsvr")
         assert resolve_models(CLASSIFICATION, "all") == ("blrc", "dtc", "knnc", "lsvc", "mlpc")
+        assert models.MODEL_KINDS == resolve_models(REGRESSION, "all") + resolve_models(
+            CLASSIFICATION, "all"
+        )
         assert resolve_models(REGRESSION, "olsr, dtr") == ("olsr", "dtr")
+
+    @pytest.mark.parametrize("kind", sorted(models.MODELS))
+    def test_default_generator_matches_task(self, kind):
+        entry = models.MODELS[kind]
+        assert datagen.GENERATOR_TASKS[entry.generator] == entry.task
+
+    @pytest.mark.parametrize(
+        "task, kind, size, message",
+        [
+            (REGRESSION, "dtr", dict(n_features=4), "needs >= 5 features"),
+            (REGRESSION, "olsr", dict(n_samples=30, n_features=16), "n_samples >= 2"),
+            (CLASSIFICATION, "dtc", dict(n_samples=101), "even n_samples"),
+        ],
+    )
+    def test_generator_size_checks(self, task, kind, size, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(task=task, models=(kind,), **size)
 
     def test_default_grid(self):
         grid = default_grid(21)
