@@ -39,9 +39,6 @@ from .rng import RandomSource, make_rng
 from .sampler import BoxSlice, DdrTuple, sample_ddr_tuples
 from .signals import (
     DdrValue,
-    DecomposedSignal,
-    PowerValue,
-    Signal,
     ddr_approx,
     ddr_exact,
     matrix_ddr_power_ratio,
@@ -66,7 +63,6 @@ __all__ = [
     "DdrBenchError",
     "DdrTuple",
     "DdrValue",
-    "DecomposedSignal",
     "DegenerateDeterministicError",
     "DegenerateSignalError",
     "DegenerateTargetError",
@@ -75,11 +71,9 @@ __all__ = [
     "ModelSpec",
     "NoisyDataset",
     "PerformanceReport",
-    "PowerValue",
     "REGRESSION",
     "RandomSource",
     "SamplerError",
-    "Signal",
     "StandardizationParams",
     "TrainedModel",
     "ddr_approx",

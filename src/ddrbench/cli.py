@@ -105,20 +105,14 @@ def cmd_run(args) -> int:
 def read_curve_csv(path: str) -> Dict[str, List[float]]:
     """Parse a curve CSV; malformed rows are reported with their row number."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split(",") != [
-        "ddr",
-        "train_acc_mean",
-        "train_acc_std",
-        "test_acc_mean",
-        "test_acc_std",
-        "replicates",
-    ]:
+    if not lines or lines[0] != harness.CURVE_CSV_HEADER:
         raise ConfigError(f"{path}: row 1: bad or missing curve header")
+    width = len(harness.CURVE_CSV_HEADER.split(","))
     curve = {"ddr": [], "train": [], "test": []}
     for row_no, line in enumerate(lines[1:], 2):
         fields = line.split(",")
-        if len(fields) != 6:
-            raise ConfigError(f"{path}: row {row_no}: expected 6 fields, got {len(fields)}")
+        if len(fields) != width:
+            raise ConfigError(f"{path}: row {row_no}: expected {width} fields, got {len(fields)}")
         try:
             curve["ddr"].append(float(fields[0]))
             curve["train"].append(float(fields[1]))

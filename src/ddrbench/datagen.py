@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateDeterministicError, DomainError
 from .rng import RandomSource
 from .sampler import DdrTuple
-from .signals import DdrValue, matrix_ddr_two_norm
 from .standardize import standardize_params
 
 REGRESSION = "regression"
@@ -67,8 +66,8 @@ class CleanDataset:
 class NoisyDataset:
     """Standardized noisy features, kept as their deterministic and noise parts.
 
-    Column j of both matrices is feature j at DDR ``ddr_tuple.rs[j]``; the
-    targets are the clean dataset's, untouched.
+    Column j of both read-only matrices is feature j at DDR ``ddr_tuple.rs[j]``;
+    the targets are the clean dataset's, untouched.
     """
 
     deterministic: np.ndarray
@@ -81,10 +80,6 @@ class NoisyDataset:
     @property
     def observed(self) -> np.ndarray:
         return self.deterministic + self.noise
-
-    @property
-    def matrix_ddr(self) -> DdrValue:
-        return matrix_ddr_two_norm(self.ddr_tuple.rs)
 
 
 def gen_linear_regression(
@@ -192,9 +187,11 @@ def inject_noise(
                 f"feature column {j} is constant but requests DDR {float(r):g}"
             ) from exc
         alpha[j], beta[j], variance[j] = params.alpha, params.beta, params.noise_variance
+    deterministic = alpha * clean.features + beta
     noise = rng.normal(0.0, np.sqrt(variance)[:, None], size=(n_features, n_samples)).T
+    deterministic.flags.writeable = noise.flags.writeable = False
     return NoisyDataset(
-        deterministic=alpha * clean.features + beta,
+        deterministic=deterministic,
         noise=noise,
         targets=clean.targets,
         ddr_tuple=ddr_tuple,

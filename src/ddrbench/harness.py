@@ -179,7 +179,7 @@ Outcome = Tuple[Cell, Optional[Tuple[float, float]], Optional[str]]
 def _noisy_split(
     config: ExperimentConfig, generator_id: str, key: int, replicate: int, ddr_tuple
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One replicate's noisy dataset from one generator, as train and test arrays."""
+    """One replicate's noisy dataset from one generator, as read-only train and test arrays."""
     gen_rng = make_rng(seed_derivation(config.master_seed, key, replicate, "datagen"))
     clean = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
     noisy = datagen.inject_noise(
@@ -195,7 +195,11 @@ def _noisy_split(
         config.train_fraction,
         seed_derivation(config.master_seed, key, replicate, "split"),
     )
-    return features[train_idx], targets[train_idx], features[test_idx], targets[test_idx]
+    split = (features[train_idx], targets[train_idx], features[test_idx], targets[test_idx])
+    # Every model on this generator gets these same arrays, so none may write into them.
+    for arr in split:
+        arr.flags.writeable = False
+    return split
 
 
 def _score(
@@ -344,8 +348,11 @@ def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:
 # ---------------------------------------------------------------------------
 # Persistence: curve CSV, report JSON, and the cross-model summary CSV.
 
+CURVE_CSV_HEADER = "ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates"
+
+
 def curve_csv_lines(curve: AccuracyCurve) -> List[str]:
-    lines = ["ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates"]
+    lines = [CURVE_CSV_HEADER]
     for p in curve.points:
         lines.append(
             f"{p.ddr:.6f},{p.train_accuracy:.6f},{p.train_std:.6f},"
@@ -392,8 +399,12 @@ def write_outputs(reports: Sequence[PerformanceReport], out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for report in reports:
+        curve_path = out / f"{report.model.kind}_curve.csv"
         if report.curve is not None:
-            write_curve_csv(report.curve, out / f"{report.model.kind}_curve.csv")
+            write_curve_csv(report.curve, curve_path)
+        else:
+            # A curve left by an earlier run would sit beside a report without one.
+            curve_path.unlink(missing_ok=True)
         write_report_json(report, out / f"{report.model.kind}_report.json")
 
 

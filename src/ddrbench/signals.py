@@ -1,15 +1,15 @@
-"""Signal decomposition primitives and power/DDR arithmetic.
+"""Power and DDR arithmetic on plain arrays.
 
 Observed data is modeled as the sum of a deterministic part D and a noise
-part E.  The deterministic-to-data ratio (DDR) measures the fraction of the
-observed power carried by D: 1 means fully deterministic data, 0 pure noise.
+part E, held as two equal-shape arrays.  The deterministic-to-data ratio
+(DDR) measures the fraction of the observed power carried by D: 1 means
+fully deterministic data, 0 pure noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -18,68 +18,28 @@ from .errors import DegenerateSignalError, DomainError
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 
-def _as_values(values: ArrayLike) -> np.ndarray:
+def _checked(values: ArrayLike, ndim: int) -> np.ndarray:
+    """The input as a checked float64 array, copied only if it is not one already."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError(f"signal must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise DomainError(f"expected a {ndim}-D array, got shape {arr.shape}")
     if arr.size < 1:
-        raise DomainError("signal must contain at least one value")
+        raise DomainError(f"signal must contain at least one value, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("signal values must all be finite")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """A finite-length sequence of finite reals, indexed 1..n.
-
-    The stored array is an immutable float64 copy of the input.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_values(self.values))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True, eq=False)
-class DecomposedSignal:
-    """Additive decomposition of an observed signal into parts D and E.
-
-    The observed signal D + E is derived on demand and never stored.
-    """
-
-    deterministic: Signal
-    noise: Signal
-
-    def __post_init__(self) -> None:
-        if len(self.deterministic) != len(self.noise):
-            raise DomainError(
-                "deterministic and noise parts must have equal length, got "
-                f"{len(self.deterministic)} and {len(self.noise)}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.deterministic)
-
-    @property
-    def observed(self) -> Signal:
-        return Signal(self.deterministic.values + self.noise.values)
-
-
-class PowerValue(float):
-    """Mean squared value of a signal; non-negative by construction."""
-
-    def __new__(cls, value: float) -> "PowerValue":
-        v = float(value)
-        if not math.isfinite(v) or v < 0.0:
-            raise DomainError(f"power must be a finite non-negative real, got {v!r}")
-        return super().__new__(cls, v)
+def _parts(
+    deterministic: ArrayLike, noise: ArrayLike, ndim: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    det, noi = _checked(deterministic, ndim), _checked(noise, ndim)
+    if det.shape != noi.shape:
+        raise DomainError(
+            "deterministic and noise parts must have equal shapes, got "
+            f"{det.shape} and {noi.shape}"
+        )
+    return det, noi
 
 
 class DdrValue(float):
@@ -111,55 +71,60 @@ class DdrValue(float):
         return obj
 
 
-def _values_of(x: Union[Signal, ArrayLike]) -> np.ndarray:
-    return x.values if isinstance(x, Signal) else _as_values(x)
+def _power(vals: np.ndarray) -> float:
+    p = float(np.sum(np.square(vals)) / vals.size)
+    if not math.isfinite(p):
+        raise DomainError(f"power must be finite, got {p!r}")
+    return p
 
 
-def power(x: Union[Signal, ArrayLike]) -> PowerValue:
+def power(x: ArrayLike) -> float:
     """Mean of squares: (1/n) * sum(x_t^2).
 
     Zero exactly when every value is zero.  numpy's pairwise summation keeps
     the result stable for long signals.
     """
-    vals = _values_of(x)
-    return PowerValue(float(np.sum(np.square(vals)) / vals.size))
+    return _power(_checked(x, 1))
 
 
-def ddr_exact(s: DecomposedSignal) -> DdrValue:
+def ddr_exact(deterministic: ArrayLike, noise: ArrayLike) -> DdrValue:
     """Power ratio P(D) / P(D + E), clamped into [0, 1].
 
     On finite samples the raw ratio can exceed 1 when D and E are negatively
     correlated; the unclamped ratio stays available as `.raw`.
     """
-    p_obs = power(s.observed)
+    det, noi = _parts(deterministic, noise, 1)
+    p_obs = _power(det + noi)
     if p_obs == 0.0:
         raise DegenerateSignalError("observed signal has zero power")
-    return DdrValue.clamped(power(s.deterministic) / p_obs)
+    return DdrValue.clamped(_power(det) / p_obs)
 
 
-def ddr_approx(s: DecomposedSignal) -> DdrValue:
+def ddr_approx(deterministic: ArrayLike, noise: ArrayLike) -> DdrValue:
     """Cross-term-free ratio P(D) / (P(D) + P(E)); in [0, 1] by construction.
 
     Coincides with `ddr_exact` exactly when sum(D*E) = 0, and converges to it
     for long signals with independent zero-mean noise.
     """
-    p_det = power(s.deterministic)
-    p_noise = power(s.noise)
-    denom = p_det + p_noise
+    det, noi = _parts(deterministic, noise, 1)
+    p_det = _power(det)
+    denom = p_det + _power(noi)
     if denom == 0.0:
         raise DegenerateSignalError("both parts of the signal have zero power")
     return DdrValue(p_det / denom)
 
 
-def matrix_ddr_power_ratio(columns: Sequence[DecomposedSignal]) -> DdrValue:
-    """Dataset-level DDR as a pooled power ratio: sum_i P(D_i) / sum_i P(Y_i)."""
-    if len(columns) == 0:
-        raise DomainError("matrix DDR needs at least one column")
-    det_total = sum(power(c.deterministic) for c in columns)
-    obs_total = sum(power(c.observed) for c in columns)
-    if obs_total == 0.0:
+def matrix_ddr_power_ratio(deterministic: ArrayLike, noise: ArrayLike) -> DdrValue:
+    """Dataset-level DDR as a pooled power ratio: sum_j P(D_j) / sum_j P(Y_j).
+
+    Both parts are (samples x columns) matrices.  On standardized columns
+    every P(Y_j) is about 1, so the ratio tracks mean(r_j), not the two-norm R.
+    """
+    det, noi = _parts(deterministic, noise, 2)
+    p_obs = _power(det + noi)
+    if p_obs == 0.0:
         raise DegenerateSignalError("observed matrix has zero power in every column")
-    return DdrValue.clamped(det_total / obs_total)
+    return DdrValue.clamped(_power(det) / p_obs)
 
 
 def matrix_ddr_two_norm(rs: Sequence[float]) -> DdrValue:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DegenerateDeterministicError, DomainError
 from .rng import RandomSource
-from .signals import ArrayLike, DdrValue, DecomposedSignal, Signal, _values_of
+from .signals import ArrayLike, DdrValue, _checked
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class StandardizationParams:
             raise DomainError("alpha may be zero only for a pure-noise column")
 
 
-def standardize_params(d: Union[Signal, ArrayLike], r: float) -> StandardizationParams:
+def standardize_params(d: ArrayLike, r: float) -> StandardizationParams:
     """Solve for alpha, beta and the noise variance at the requested DDR.
 
     alpha = sqrt(r) / S_d and beta = -(mean(d) / S_d) * sqrt(r), where S_d is
@@ -55,7 +55,7 @@ def standardize_params(d: Union[Signal, ArrayLike], r: float) -> Standardization
     ratio = DdrValue(r)
     if ratio == 0.0:
         return StandardizationParams(alpha=0.0, beta=0.0, noise_variance=1.0)
-    vals = _values_of(d)
+    vals = _checked(d, 1)
     if vals.size < 2:
         raise DomainError("standardization needs at least two samples")
     s_d = float(np.std(vals, ddof=1))
@@ -70,16 +70,16 @@ def standardize_params(d: Union[Signal, ArrayLike], r: float) -> Standardization
 
 
 def ddr_invariant_standardize(
-    d: Union[Signal, ArrayLike], r: float, rng: RandomSource
-) -> DecomposedSignal:
+    d: ArrayLike, r: float, rng: RandomSource
+) -> Tuple[np.ndarray, np.ndarray]:
     """Build the standardized column: affine image of d plus fresh noise.
 
-    Returns the decomposition D_std = alpha * d + beta and E_std drawn i.i.d.
-    from N(0, 1 - r).  For long signals the observed sum has mean ~0 and
-    power ~1, and the approximate DDR of the result is ~r.
+    Returns the parts (D_std, E_std): D_std = alpha * d + beta, and E_std
+    drawn i.i.d. from N(0, 1 - r).  For long signals the observed sum has
+    mean ~0 and power ~1, and the approximate DDR of the result is ~r.
     """
     params = standardize_params(d, r)
-    vals = _values_of(d)
+    vals = _checked(d, 1)
     det = params.alpha * vals + params.beta
     noise = rng.normal(0.0, math.sqrt(params.noise_variance), size=vals.size)
-    return DecomposedSignal(Signal(det), Signal(noise))
+    return det, noise

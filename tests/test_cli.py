@@ -99,6 +99,33 @@ class TestRun:
         assert run_small(tmp_path) == 2
 
 
+    def test_failed_model_loses_stale_curve(self, tmp_path, monkeypatch):
+        from ddrbench.errors import DomainError
+        from ddrbench.models import CartTree
+
+        args = [
+            "run", "--task", "regression", "--models", "olsr,dtr",
+            "--samples", "120", "--features", "5", "--grid", "3",
+            "--replicates", "1", "--seed", "7", "--out", str(tmp_path),
+        ]
+        assert main(args) == 0
+        kept = {
+            name: (tmp_path / name).read_bytes()
+            for name in ("olsr_curve.csv", "olsr_report.json")
+        }
+        assert (tmp_path / "dtr_curve.csv").exists()
+
+        def failing_fit(self, X, y):
+            raise DomainError("synthetic tree failure")
+
+        monkeypatch.setattr(CartTree, "fit", failing_fit)
+        assert main(args) == 2
+        assert not (tmp_path / "dtr_curve.csv").exists()
+        assert json.loads((tmp_path / "dtr_report.json").read_text())["auc_test"] is None
+        for name, data in kept.items():
+            assert (tmp_path / name).read_bytes() == data
+
+
 class TestPlot:
     @pytest.fixture()
     def curve_dir(self, tmp_path):

@@ -20,9 +20,9 @@ from ddrbench.rng import make_rng
 from ddrbench.sampler import DdrTuple, sample_ddr_tuples
 from ddrbench.signals import (
     DdrValue,
-    DecomposedSignal,
-    Signal,
     ddr_approx,
+    ddr_exact,
+    matrix_ddr_power_ratio,
     matrix_ddr_two_norm,
     power,
 )
@@ -129,10 +129,6 @@ class TestTwoClass:
         assert np.array_equal(a.targets, b.targets)
 
 
-def column(noisy, j):
-    return DecomposedSignal(Signal(noisy.deterministic[:, j]), Signal(noisy.noise[:, j]))
-
-
 class TestInjectNoise:
     @pytest.mark.parametrize("generator_id", sorted(GENERATORS))
     @pytest.mark.parametrize("big_r", [0.0, 0.3, 1.0])
@@ -142,9 +138,9 @@ class TestInjectNoise:
         noisy = inject_noise(clean, t, make_rng(32))
         rng = make_rng(32)
         for j, r in enumerate(t.rs):
-            col = ddr_invariant_standardize(clean.features[:, j], r, rng)
-            assert noisy.deterministic[:, j].tobytes() == col.deterministic.values.tobytes()
-            assert noisy.noise[:, j].tobytes() == col.noise.values.tobytes()
+            det, noise = ddr_invariant_standardize(clean.features[:, j], r, rng)
+            assert noisy.deterministic[:, j].tobytes() == det.tobytes()
+            assert noisy.noise[:, j].tobytes() == noise.tobytes()
 
     def test_noiseless_tuple_is_affine(self):
         clean = gen_linear_regression(200, 3, make_rng(11))
@@ -159,13 +155,14 @@ class TestInjectNoise:
         clean = gen_linear_regression(200, 2, make_rng(13))
         noisy = inject_noise(clean, uniform_tuple([0.0, 0.0]), make_rng(14))
         for j in range(2):
-            assert float(ddr_approx(column(noisy, j))) == 0.0
+            assert float(ddr_approx(noisy.deterministic[:, j], noisy.noise[:, j])) == 0.0
 
     def test_per_column_ddr_tracks_tuple(self):
         clean = gen_linear_regression(10_000, 2, make_rng(15))
         noisy = inject_noise(clean, uniform_tuple([0.25, 0.75]), make_rng(16))
-        assert float(ddr_approx(column(noisy, 0))) == pytest.approx(0.25, abs=0.05)
-        assert float(ddr_approx(column(noisy, 1))) == pytest.approx(0.75, abs=0.05)
+        for j, r in enumerate([0.25, 0.75]):
+            realized = ddr_approx(noisy.deterministic[:, j], noisy.noise[:, j])
+            assert float(realized) == pytest.approx(r, abs=0.05)
 
     def test_standardized_moments_at_scale(self):
         clean = gen_friedman1(10_000, 5, make_rng(17))
@@ -181,9 +178,36 @@ class TestInjectNoise:
         clean = gen_linear_regression(100, 2, make_rng(19))
         t = uniform_tuple([0.6, 0.8])
         noisy = inject_noise(clean, t, make_rng(20))
-        assert float(noisy.matrix_ddr) == pytest.approx(
+        assert noisy.ddr_tuple is t
+        assert float(noisy.ddr_tuple.target) == pytest.approx(
             float(matrix_ddr_two_norm([0.6, 0.8])), abs=1e-12
         )
+
+    @pytest.mark.parametrize("big_r", [0.2, 0.5, 0.8])
+    def test_realized_ddr_tracks_nominal(self, big_r):
+        clean = gen_linear_regression(20_000, 10, make_rng(40))
+        t = sample_ddr_tuples(10, big_r, 1, make_rng(41))[0]
+        noisy = inject_noise(clean, t, make_rng(42))
+        for j, r in enumerate(t.rs):
+            realized = ddr_exact(noisy.deterministic[:, j], noisy.noise[:, j])
+            assert abs(float(realized) - r) <= 0.02, (j, float(realized), r)
+        # Each observed column has power ~1, so the pooled ratio is the mean
+        # of the per-column DDRs, which lies below the two-norm R.
+        pooled = float(matrix_ddr_power_ratio(noisy.deterministic, noisy.noise))
+        assert abs(pooled - float(np.mean(t.rs))) <= 0.01, (pooled, np.mean(t.rs))
+
+    def test_observed_is_derived_sum(self):
+        clean = gen_linear_regression(50, 2, make_rng(25))
+        noisy = inject_noise(clean, uniform_tuple([0.3, 0.6]), make_rng(26))
+        assert np.array_equal(noisy.observed, noisy.deterministic + noisy.noise)
+
+    def test_matrices_read_only(self):
+        clean = gen_linear_regression(50, 2, make_rng(27))
+        noisy = inject_noise(clean, uniform_tuple([0.3, 0.6]), make_rng(28))
+        for arr in (noisy.deterministic, noisy.noise, noisy.targets):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, ...] = 0.0
 
     def test_tuple_length_mismatch(self):
         clean = gen_linear_regression(100, 3, make_rng(21))

@@ -233,6 +233,26 @@ class TestSharedWork:
         for kind in REGRESSORS:
             assert calls[kind] == points * reps
 
+    def test_shared_arrays_read_only(self, monkeypatch):
+        seen = []
+        original = harness.fit
+
+        def recording(spec, X, y):
+            seen.append((spec.kind, X, y))
+            return original(spec, X, y)
+
+        monkeypatch.setattr("ddrbench.harness.fit", recording)
+        monkeypatch.setenv("DDRBENCH_THREADS", "1")
+        cfg = ExperimentConfig(task=REGRESSION, models=("olsr", "lsvr"), master_seed=3, **SMALL)
+        assert all(r.complete for r in run_experiment(cfg))
+        assert [kind for kind, _, _ in seen[:2]] == ["olsr", "lsvr"]
+        # Both models on one dataset are handed the very same arrays.
+        assert seen[0][1] is seen[1][1] and seen[0][2] is seen[1][2]
+        for _, X, y in seen:
+            assert not X.flags.writeable and not y.flags.writeable
+        with pytest.raises(ValueError):
+            seen[0][1][0, 0] = 0.0
+
     def test_fit_failure_fails_only_its_cell(self, monkeypatch):
         clean = {r.model.kind: report_payload(r) for r in run_experiment(self.CFG)}
         bad_seed = _cell_seed(self.CFG, 0.5, 1, "model")

@@ -1,4 +1,4 @@
-"""Signal, power, and DDR arithmetic."""
+"""Power and DDR arithmetic on plain arrays."""
 
 import math
 
@@ -11,9 +11,6 @@ from ddrbench.errors import DegenerateSignalError, DomainError
 from ddrbench.rng import make_rng
 from ddrbench.signals import (
     DdrValue,
-    DecomposedSignal,
-    PowerValue,
-    Signal,
     ddr_approx,
     ddr_exact,
     matrix_ddr_power_ratio,
@@ -22,38 +19,7 @@ from ddrbench.signals import (
 )
 
 
-def decomposed(det, noise):
-    return DecomposedSignal(Signal(det), Signal(noise))
-
-
 class TestSignalTypes:
-    def test_signal_rejects_empty(self):
-        with pytest.raises(DomainError):
-            Signal([])
-
-    def test_signal_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            Signal([1.0, float("nan")])
-        with pytest.raises(DomainError):
-            Signal([1.0, float("inf")])
-
-    def test_signal_values_immutable(self):
-        s = Signal([1.0, 2.0])
-        with pytest.raises(ValueError):
-            s.values[0] = 5.0
-
-    def test_decomposed_requires_equal_lengths(self):
-        with pytest.raises(DomainError):
-            decomposed([1.0, 2.0], [1.0])
-
-    def test_observed_is_derived_sum(self):
-        s = decomposed([1.0, 2.0], [0.5, -0.5])
-        assert np.allclose(s.observed.values, [1.5, 1.5])
-
-    def test_power_value_rejects_negative(self):
-        with pytest.raises(DomainError):
-            PowerValue(-1e-9)
-
     def test_ddr_value_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             DdrValue(1.0000001)
@@ -81,6 +47,26 @@ class TestPower:
         with pytest.raises(DomainError):
             power([])
 
+    def test_non_finite_rejected(self):
+        for bad in ([1.0, float("nan")], [1.0, float("inf")]):
+            with pytest.raises(DomainError):
+                power(bad)
+            with pytest.raises(DomainError):
+                ddr_exact(bad, [0.0, 0.0])
+            with pytest.raises(DomainError):
+                ddr_approx([0.0, 0.0], bad)
+
+    def test_non_finite_result_rejected(self):
+        # Every value is finite, but the mean of squares overflows.
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            power([1e200])
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(DomainError):
+            power([[1.0, 2.0]])
+        with pytest.raises(DomainError):
+            ddr_exact([[1.0]], [[0.0]])
+
     @given(
         c=st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-6),
         values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
@@ -94,83 +80,104 @@ class TestPower:
 
 class TestDdr:
     def test_exact_noise_free(self):
-        assert ddr_exact(decomposed([1, 1], [0, 0])) == 1.0
+        assert ddr_exact([1, 1], [0, 0]) == 1.0
 
     def test_exact_pure_noise(self):
-        assert ddr_exact(decomposed([0, 0], [1, -1])) == 0.0
+        assert ddr_exact([0, 0], [1, -1]) == 0.0
 
     def test_exact_hand_value(self):
         # P(D) = 4, P(Y) = P([3, 1]) = 5
-        assert ddr_exact(decomposed([2, 2], [1, -1])) == pytest.approx(0.8, abs=1e-9)
+        assert ddr_exact([2, 2], [1, -1]) == pytest.approx(0.8, abs=1e-9)
 
     def test_exact_degenerate(self):
         with pytest.raises(DegenerateSignalError):
-            ddr_exact(decomposed([1, -1], [-1, 1]))
+            ddr_exact([1, -1], [-1, 1])
 
     def test_exact_clamps_anticorrelated(self):
         # D = [2, 2], E = [-1, -1]: raw ratio 4 / 1 = 4
-        v = ddr_exact(decomposed([2, 2], [-1, -1]))
+        v = ddr_exact([2, 2], [-1, -1])
         assert v == 1.0
         assert v.raw == pytest.approx(4.0)
 
     def test_approx_noise_free(self):
-        assert ddr_approx(decomposed([1, 1], [0, 0])) == 1.0
+        assert ddr_approx([1, 1], [0, 0]) == 1.0
 
     def test_approx_hand_value(self):
         # 4 / (4 + 1); equals ddr_exact because sum(D * E) = 0
-        assert ddr_approx(decomposed([2, 2], [1, -1])) == pytest.approx(0.8, abs=1e-9)
+        assert ddr_approx([2, 2], [1, -1]) == pytest.approx(0.8, abs=1e-9)
 
     def test_approx_zero_deterministic(self):
-        assert ddr_approx(decomposed([0], [5])) == 0.0
+        assert ddr_approx([0], [5]) == 0.0
 
     def test_approx_degenerate(self):
         with pytest.raises(DegenerateSignalError):
-            ddr_approx(decomposed([0, 0], [0, 0]))
+            ddr_approx([0, 0], [0, 0])
+
+    def test_empty_rejected(self):
+        for ddr in (ddr_exact, ddr_approx):
+            with pytest.raises(DomainError):
+                ddr([], [])
+
+    def test_unequal_lengths_rejected(self):
+        for ddr in (ddr_exact, ddr_approx):
+            with pytest.raises(DomainError):
+                ddr([1.0, 2.0], [1.0])
 
     def test_exact_equals_approx_when_orthogonal(self):
         rng = make_rng(3)
         det = rng.standard_normal(10)
         noise = rng.standard_normal(10)
         noise -= det * (det @ noise) / (det @ det)
-        s = decomposed(det, noise)
-        assert ddr_exact(s).raw == pytest.approx(float(ddr_approx(s)), rel=1e-10)
+        assert ddr_exact(det, noise).raw == pytest.approx(
+            float(ddr_approx(det, noise)), rel=1e-10
+        )
 
     def test_identity_at_large_length(self):
         # Cross term vanishes for independent zero-mean noise as length grows.
         for seed in range(20):
             rng = make_rng(seed)
-            s = decomposed(rng.standard_normal(100_000), rng.standard_normal(100_000))
-            assert abs(ddr_exact(s).raw - ddr_approx(s)) < 0.01
+            det, noise = rng.standard_normal(100_000), rng.standard_normal(100_000)
+            assert abs(ddr_exact(det, noise).raw - ddr_approx(det, noise)) < 0.01
+
+
+def columns(*cols):
+    """A (samples x columns) matrix from column lists."""
+    return np.column_stack(cols)
 
 
 class TestMatrixDdr:
     def test_single_column_reduces_to_exact(self):
-        col = decomposed([2, 2], [1, -1])
-        assert matrix_ddr_power_ratio([col]) == pytest.approx(0.8, abs=1e-9)
+        assert matrix_ddr_power_ratio(columns([2, 2]), columns([1, -1])) == pytest.approx(
+            0.8, abs=1e-9
+        )
 
     def test_noiseless_columns(self):
-        cols = [decomposed([1, 2], [0, 0]), decomposed([3, 4], [0, 0])]
-        assert matrix_ddr_power_ratio(cols) == 1.0
+        assert matrix_ddr_power_ratio(columns([1, 2], [3, 4]), np.zeros((2, 2))) == 1.0
 
     def test_hand_value_two_columns(self):
         # P(D)=1,P(Y)=1 and P(D)=0,P(Y)=1 -> (1+0)/(1+1)
-        cols = [decomposed([1, -1], [0, 0]), decomposed([0, 0], [1, -1])]
-        assert matrix_ddr_power_ratio(cols) == pytest.approx(0.5, abs=1e-9)
+        det = columns([1, -1], [0, 0])
+        noise = columns([0, 0], [1, -1])
+        assert matrix_ddr_power_ratio(det, noise) == pytest.approx(0.5, abs=1e-9)
 
     def test_identical_columns_match_single(self):
-        col = decomposed([1.0, 2.0, -0.5], [0.1, -0.3, 0.2])
-        four = [col] * 4
-        assert matrix_ddr_power_ratio(four) == pytest.approx(
-            float(ddr_exact(col)), abs=1e-12
-        )
+        det, noise = [1.0, 2.0, -0.5], [0.1, -0.3, 0.2]
+        four = matrix_ddr_power_ratio(columns(*[det] * 4), columns(*[noise] * 4))
+        assert four == pytest.approx(float(ddr_exact(det, noise)), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            matrix_ddr_power_ratio([])
+            matrix_ddr_power_ratio(np.empty((3, 0)), np.empty((3, 0)))
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateSignalError):
-            matrix_ddr_power_ratio([decomposed([0, 0], [0, 0])])
+            matrix_ddr_power_ratio(np.zeros((2, 1)), np.zeros((2, 1)))
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(DomainError):
+            matrix_ddr_power_ratio(np.ones((4, 2)), np.ones((4, 3)))
+        with pytest.raises(DomainError):
+            matrix_ddr_power_ratio(np.ones(4), np.ones(4))
 
     def test_two_norm_singleton(self):
         assert matrix_ddr_two_norm([0.3]) == pytest.approx(0.3, abs=1e-12)
