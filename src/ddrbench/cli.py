@@ -146,7 +146,7 @@ def cmd_plot(args) -> int:
         kinds = [k for k in (_model_from_filename(p) for p in args.curves) if k]
         title = f"Accuracy vs. DDR ({', '.join(kinds)})" if kinds else "Accuracy vs. DDR"
     text = svg.line_chart(series, title, "DDR", ylabel or "Accuracy")
-    Path(args.out).write_text(text, encoding="utf-8")
+    harness.write_text_atomic(args.out, text)
     return 0
 
 
@@ -201,7 +201,7 @@ def cmd_summary(args) -> int:
         "Model Performance (Normalized AUC)",
         "Normalized AUC",
     )
-    Path(svg_path).write_text(text, encoding="utf-8")
+    harness.write_text_atomic(svg_path, text)
     return 0
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateDeterministicError, DomainError
 from .rng import RandomSource
 from .sampler import DdrTuple
-from .standardize import standardize_params
 
 REGRESSION = "regression"
 CLASSIFICATION = "binary-classification"
@@ -26,15 +25,13 @@ CLASSIFICATION = "binary-classification"
 CLASS_SEP = 2.0
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64).copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class CleanDataset:
-    """Noise-free features plus targets derived from them."""
+    """Noise-free features plus targets derived from them.
+
+    The dataset takes ownership of the arrays it is given: float64 arrays are
+    kept as they are, not copied, and marked read-only in place.
+    """
 
     features: np.ndarray
     targets: np.ndarray
@@ -58,8 +55,9 @@ class CleanDataset:
                 raise DomainError("classification targets must be 0/1 labels")
             if targets.size >= 4 and len(labels) != 2:
                 raise DomainError("classification targets must contain both classes")
-        object.__setattr__(self, "features", _freeze(features))
-        object.__setattr__(self, "targets", _freeze(targets))
+        features.flags.writeable = targets.flags.writeable = False
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "targets", targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,25 +166,40 @@ def inject_noise(
     """Standardize every clean feature column at its per-column DDR.
 
     Column j becomes alpha_j * x_j + beta_j plus N(0, 1 - r_j) noise, with the
-    parameters of `standardize_params`; the noise of column j is the j-th
-    block of n draws from rng, as a per-column loop would draw it.  Targets
-    carry over untouched.  A constant clean column is only legal at r = 0;
-    otherwise the degenerate-column error names the offending index.
+    parameters `standardize_params` gives column j, taken for all columns in
+    one pass; the noise of column j is the j-th block of n draws from rng, as
+    a per-column loop would draw it.  Targets carry over untouched.  A
+    constant clean column is only legal at r = 0; otherwise the
+    degenerate-column error names the lowest offending index.
     """
     n_samples, n_features = clean.features.shape
     if len(ddr_tuple) != n_features:
         raise DomainError(
             f"tuple has {len(ddr_tuple)} entries for {n_features} columns"
         )
-    alpha, beta, variance = np.empty(n_features), np.empty(n_features), np.empty(n_features)
-    for j, r in enumerate(ddr_tuple.rs):
-        try:
-            params = standardize_params(clean.features[:, j], r)
-        except DegenerateDeterministicError as exc:
+    rs = np.array(ddr_tuple.rs, dtype=np.float64)
+    active = rs > 0.0
+    alpha, beta = np.zeros(n_features), np.zeros(n_features)
+    if np.any(active):
+        if n_samples < 2:
+            raise DomainError("standardization needs at least two samples")
+        # Row-wise reductions over contiguous rows sum in the same order as a
+        # reduction over one column, so these match standardize_params bit for bit.
+        columns = np.ascontiguousarray(clean.features.T[active])
+        s_d = np.std(columns, axis=1, ddof=1)
+        constant = np.flatnonzero(active)[s_d == 0.0]
+        if constant.size:
+            j = constant[0]
             raise DegenerateDeterministicError(
-                f"feature column {j} is constant but requests DDR {float(r):g}"
-            ) from exc
-        alpha[j], beta[j], variance[j] = params.alpha, params.beta, params.noise_variance
+                f"feature column {j} is constant but requests DDR {float(rs[j]):g}"
+            )
+        sqrt_r = np.sqrt(rs[active])
+        alpha[active] = sqrt_r / s_d
+        beta[active] = -(np.mean(columns, axis=1) / s_d) * sqrt_r
+        scale = alpha[active]
+        if not np.all(np.isfinite(scale) & (scale > 0.0)):
+            raise DomainError("alpha must be finite and positive wherever r > 0")
+    variance = 1.0 - rs
     deterministic = alpha * clean.features + beta
     noise = rng.normal(0.0, np.sqrt(variance)[:, None], size=(n_features, n_samples)).T
     deterministic.flags.writeable = noise.flags.writeable = False

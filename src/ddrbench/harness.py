@@ -348,6 +348,22 @@ def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:
 # ---------------------------------------------------------------------------
 # Persistence: curve CSV, report JSON, and the cross-model summary CSV.
 
+def write_text_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into place.
+
+    A crash mid-write leaves the previous file whole rather than a partial one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 CURVE_CSV_HEADER = "ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates"
 
 
@@ -362,7 +378,7 @@ def curve_csv_lines(curve: AccuracyCurve) -> List[str]:
 
 
 def write_curve_csv(curve: AccuracyCurve, path) -> None:
-    Path(path).write_text("\n".join(curve_csv_lines(curve)) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(curve_csv_lines(curve)) + "\n")
 
 
 def report_payload(report: PerformanceReport) -> dict:
@@ -381,8 +397,7 @@ def report_payload(report: PerformanceReport) -> dict:
 
 
 def write_report_json(report: PerformanceReport, path) -> None:
-    text = json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_text_atomic(path, json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n")
 
 
 def write_summary_csv(reports: Sequence[dict], path) -> None:
@@ -392,7 +407,7 @@ def write_summary_csv(reports: Sequence[dict], path) -> None:
         lines.append(
             f"{payload['model']},{payload['auc_train']:.6f},{payload['auc_test']:.6f}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_outputs(reports: Sequence[PerformanceReport], out_dir) -> None:

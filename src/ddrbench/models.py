@@ -216,8 +216,15 @@ class CartTree:
 class KnnModel:
     """Brute-force k-nearest neighbors with Euclidean distance.
 
-    Distance ties resolve to the lowest training index (stable sort); vote
-    ties resolve to class 1.
+    Neighbours are the first k training rows in (distance, index) order,
+    which is what a full stable argsort of each distance row gives; distance
+    ties resolve to the lowest training index, vote ties to class 1.  Each
+    row's k-th smallest distance comes from a partial partition.  When
+    exactly k distances are at or below it, those k are taken in index order
+    and stable-sorted by distance.  A row with more (a tie at the k-th
+    distance), and every row when k equals the training size, takes the full
+    stable argsort instead.  The votes reach the mean in the same order
+    either way, so predictions are bit-identical to the full sort.
     """
 
     def __init__(self, k: int, classification: bool):
@@ -238,11 +245,32 @@ class KnnModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         d2 = np.sum(np.square(X), axis=1, keepdims=True) - 2.0 * (X @ self.X.T) + self._sq
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        votes = self.y[nearest]
+        votes = self.y[self._nearest(d2)]
         if self.classification:
             return (2.0 * np.sum(votes, axis=1) >= self.k).astype(np.float64)
         return np.mean(votes, axis=1)
+
+    def _nearest(self, d2: np.ndarray) -> np.ndarray:
+        k = self.k
+        if k >= d2.shape[1]:
+            return np.argsort(d2, axis=1, kind="stable")[:, :k]
+        # A copied column, so the partitioned matrix is freed before the mask is built.
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+        candidates = d2 <= kth[:, None]
+        exact = np.count_nonzero(candidates, axis=1) == k
+        tied = np.flatnonzero(~exact)
+        candidates[tied] = False
+        rows, cols = np.nonzero(candidates)  # row-major: each row's k in index order
+        rows, cols = rows.reshape(-1, k), cols.reshape(-1, k)
+        order = np.argsort(d2[rows, cols], axis=1, kind="stable")
+        nearest = np.empty((d2.shape[0], k), dtype=np.intp)
+        nearest[rows[:, 0]] = np.take_along_axis(cols, order, axis=1)
+        # Tied rows are sorted a block at a time, so a matrix where most rows
+        # tie never holds a full copy of d2 and its argsort beside d2 itself.
+        for start in range(0, tied.size, 256):
+            block = tied[start : start + 256]
+            nearest[block] = np.argsort(d2[block], axis=1, kind="stable")[:, :k]
+        return nearest
 
 
 class LinearSvr:

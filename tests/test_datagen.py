@@ -229,3 +229,39 @@ class TestInjectNoise:
         clean = CleanDataset(features, np.arange(10.0), REGRESSION, "linear")
         noisy = inject_noise(clean, uniform_tuple([0.5, 0.0]), make_rng(24))
         assert np.array_equal(noisy.deterministic[:, 1], np.zeros(10))
+
+    def test_constant_column_error_names_lowest_index(self):
+        from ddrbench.datagen import CleanDataset
+
+        features = np.column_stack([np.arange(10.0), np.full(10, 3.0), np.full(10, -1.0)])
+        clean = CleanDataset(features, np.arange(10.0), REGRESSION, "linear")
+        with pytest.raises(DegenerateDeterministicError, match="column 1 is constant but requests DDR 0.5"):
+            inject_noise(clean, uniform_tuple([0.5, 0.5, 0.25]), make_rng(23))
+        with pytest.raises(DegenerateDeterministicError, match="column 2 is constant but requests DDR 0.25"):
+            inject_noise(clean, uniform_tuple([0.5, 0.0, 0.25]), make_rng(23))
+
+    def test_single_sample_needs_zero_ddr(self):
+        from ddrbench.datagen import CleanDataset
+
+        clean = CleanDataset(np.ones((1, 2)), np.ones(1), REGRESSION, "linear")
+        with pytest.raises(DomainError, match="at least two samples"):
+            inject_noise(clean, uniform_tuple([0.5, 0.0]), make_rng(23))
+        noisy = inject_noise(clean, uniform_tuple([0.0, 0.0]), make_rng(23))
+        assert np.array_equal(noisy.deterministic, np.zeros((1, 2)))
+
+
+class TestCleanDataset:
+    def test_takes_ownership_without_copy(self):
+        from ddrbench.datagen import CleanDataset
+
+        features, targets = np.ones((4, 2)), np.arange(4.0)
+        clean = CleanDataset(features, targets, REGRESSION, "linear")
+        assert clean.features is features and clean.targets is targets
+        assert not features.flags.writeable and not targets.flags.writeable
+
+    def test_converts_other_dtypes(self):
+        from ddrbench.datagen import CleanDataset
+
+        clean = CleanDataset([[1, 2], [3, 4]], [0, 1], REGRESSION, "linear")
+        assert clean.features.dtype == np.float64 and clean.targets.dtype == np.float64
+        assert not clean.features.flags.writeable

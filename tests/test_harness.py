@@ -348,6 +348,39 @@ class TestPersistence:
         assert lines[0] == "model,auc_train,auc_test"
         assert lines[1].startswith("dtr,") and lines[2].startswith("lsvr,")
 
+    @pytest.mark.parametrize("name", ["olsr_curve.csv", "olsr_report.json", "summary.csv"])
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch, name):
+        cfg = ExperimentConfig(
+            task=REGRESSION, models=("olsr",), master_seed=7,
+            out_dir=str(tmp_path), **SMALL,
+        )
+        report = run_experiment(cfg)[0]
+        writers = {
+            "olsr_curve.csv": lambda path: harness.write_curve_csv(report.curve, path),
+            "olsr_report.json": lambda path: harness.write_report_json(report, path),
+            "summary.csv": lambda path: write_summary_csv([report_payload(report)], path),
+        }
+        path = tmp_path / name
+        writers[name](path)
+        before = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+
+        def crashing_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+
+            def write(text):  # half the text lands, then the write fails
+                type(fh).write(fh, text[: len(text) // 2])
+                raise OSError("disk full")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(harness, "open", crashing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            writers[name](path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing
+
     def test_curve_floats_have_six_decimals(self):
         cfg = ExperimentConfig(task=REGRESSION, models=("olsr",), master_seed=7, **SMALL)
         report = run_experiment(cfg)[0]

@@ -1,5 +1,7 @@
 """The nine learners: contract, worked examples, and training invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,73 @@ class TestKnn:
     def test_k_larger_than_train_rejected(self):
         with pytest.raises(DomainError):
             fit(ModelSpec("knnr", {"k": 10}), np.zeros((5, 1)), np.zeros(5))
+
+    @staticmethod
+    def full_sort_predict(kind, k, X, y, Z):
+        """The kernel's distances, neighbours from a full stable argsort, same vote."""
+        train = X.copy()
+        d2 = np.sum(np.square(Z), axis=1, keepdims=True) - 2.0 * (Z @ train.T)
+        d2 += np.sum(np.square(train), axis=1)
+        votes = y[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+        if kind == "knnc":
+            return (2.0 * np.sum(votes, axis=1) >= k).astype(np.float64)
+        return np.mean(votes, axis=1)
+
+    @pytest.mark.parametrize("kind", ["knnr", "knnc"])
+    @pytest.mark.parametrize("decimals", [None, 0, 1])
+    @pytest.mark.parametrize("k", [1, 5, 199, 200])
+    def test_matches_full_stable_sort(self, kind, decimals, k):
+        rng = make_rng(21)
+        X = rng.standard_normal((300, 4))
+        if decimals is not None:
+            X = np.round(X, decimals)  # forces ties at the k-th distance
+        y = rng.standard_normal(300)
+        if kind == "knnc":
+            y = (y > 0.0).astype(np.float64)
+        model = fit(ModelSpec(kind, {"k": k}), X[:200], y[:200])
+        for Z in (X[:200], X[200:]):
+            expected = self.full_sort_predict(kind, k, X[:200], y[:200], Z)
+            assert predict(model, Z).tobytes() == expected.tobytes()
+
+    def test_exact_and_tied_rows_in_one_call(self, monkeypatch):
+        # Lattice queries among lattice training rows tie at the 5th distance;
+        # continuous queries do not.  Both kinds of row share one predict call.
+        rng = make_rng(22)
+        X = np.round(rng.standard_normal((200, 3)))
+        y = rng.standard_normal(200)
+        Z = np.vstack([X[:50], rng.standard_normal((50, 3))])
+        expected = self.full_sort_predict("knnr", 5, X, y, Z)
+        model = fit(ModelSpec("knnr", {"k": 5}), X, y)
+        sorted_rows = {5: 0, 200: 0}
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            sorted_rows[a.shape[1]] += a.shape[0]
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        got = predict(model, Z)
+        monkeypatch.undo()
+        assert got.tobytes() == expected.tobytes()
+        assert sorted_rows[5] > 0 and sorted_rows[200] > 0
+        assert sorted_rows[5] + sorted_rows[200] == 100
+
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_predict_peak_memory(self, decimals):
+        # Rounded to integers, about 1600 of the 2000 rows tie and take the full sort.
+        rng = make_rng(23)
+        X, Z = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10))
+        if decimals is not None:
+            X, Z = np.round(X, decimals), np.round(Z, decimals)
+        model = fit(ModelSpec("knnr"), X, rng.standard_normal(2000))
+        tracemalloc.start()
+        try:
+            predict(model, Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The distance matrix and one temporary of its size while it is built.
+        assert peak <= 2.05 * Z.shape[0] * 2000 * 8
 
 
 class TestLinearSubgradient:
