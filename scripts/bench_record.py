@@ -3,15 +3,20 @@
 
 Runs ``perfbench/run.py --trace 0`` on each workload that BENCHMARK.json
 lists, one at a time, for the run length it sets and at the benchmark's
-default seed.  Writes the end-to-end metrics to a JSON file together with the
+default seed.  Then times one default ``ddrbench run`` per task (all models,
+21 grid points, 5 replicates, seed 0) at ``DDRBENCH_THREADS`` = 1 and 2,
+each in a fresh interpreter with BLAS pinned to one thread as perfbench
+pins it; the wall time includes interpreter start-up and imports.  Writes
+the end-to-end metrics and these timings to a JSON file together with the
 CPU count, the Python and numpy versions, the ``HEAD`` commit and a ``dirty``
 flag that is true when ``git status --porcelain`` lists any change, so a run
 from an uncommitted tree is not mistaken for a run of its parent commit.
 
-    python3 scripts/bench_record.py --out BENCH_6.json
+    python3 scripts/bench_record.py --out BENCH_7.json
 
-Exits 1 if a workload's run fails or reads ``correct: false``; the file is
-written either way.  Numbers from different hosts are not comparable.
+Exits 1 if a workload's run fails or reads ``correct: false``, or a default
+sweep exits non-zero; the file is written either way.  Numbers from
+different hosts are not comparable.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -30,6 +37,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 SPEC = ROOT / "BENCHMARK.json"
+SRC = ROOT / "src"
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+TASKS = ("regression", "classification")
+SWEEP_THREADS = (1, 2)
 
 
 def git(*args: str) -> Optional[str]:
@@ -55,6 +66,18 @@ def run_workload(workload: str, seconds: float) -> dict:
     return summary
 
 
+def time_default_sweep(task: str, threads: int) -> dict:
+    """Wall time and exit code of one default ``ddrbench run`` of one task."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, DDRBENCH_THREADS=str(threads), PYTHONPATH=path, **BLAS_ENV)
+    with tempfile.TemporaryDirectory() as out:
+        cmd = [sys.executable, "-m", "ddrbench.cli", "run", "--task", task, "--out", out]
+        start = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+        wall_s = time.perf_counter() - start
+    return {"wall_s": round(wall_s, 3), "exit": proc.returncode}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="BENCH file to write, e.g. BENCH_6.json")
@@ -70,14 +93,24 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "seconds": spec["run_seconds"],
         "workloads": {},
+        "default_sweeps": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
         print(f"running {workload} ...", file=sys.stderr, flush=True)
         record["workloads"][workload] = run_workload(workload, spec["run_seconds"])
+    for task in TASKS:
+        for threads in SWEEP_THREADS:
+            print(f"timing default {task} sweep, {threads} thread(s) ...", file=sys.stderr,
+                  flush=True)
+            record["default_sweeps"].setdefault(task, {})[f"threads_{threads}"] = (
+                time_default_sweep(task, threads)
+            )
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     print(json.dumps(record, indent=2, sort_keys=True))
-    return 0 if all(w["correct"] for w in record["workloads"].values()) else 1
+    sweeps = [t for by_threads in record["default_sweeps"].values() for t in by_threads.values()]
+    ok = all(w["correct"] for w in record["workloads"].values())
+    return 0 if ok and all(t["exit"] == 0 for t in sweeps) else 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .errors import (
     SamplerError,
 )
 from .evaluation import (
-    AccuracyCurve,
     CurvePoint,
     PerformanceReport,
     f1_score,
@@ -54,7 +53,6 @@ from .standardize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyCurve",
     "BoxSlice",
     "CLASSIFICATION",
     "CleanDataset",

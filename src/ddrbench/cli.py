@@ -95,7 +95,7 @@ def cmd_run(args) -> int:
         out_dir=out_dir,
     )
     reports = harness.run_experiment(config)
-    incomplete = [r.model.kind for r in reports if not r.complete]
+    incomplete = [r.model for r in reports if not r.complete]
     if incomplete:
         print(f"incomplete reports: {', '.join(sorted(incomplete))}", file=sys.stderr)
         return 2

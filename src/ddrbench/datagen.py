@@ -36,7 +36,6 @@ class CleanDataset:
     features: np.ndarray
     targets: np.ndarray
     task: str
-    generator_id: str
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
@@ -72,8 +71,6 @@ class NoisyDataset:
     noise: np.ndarray
     targets: np.ndarray
     ddr_tuple: DdrTuple
-    task: str
-    generator_id: str
 
     @property
     def observed(self) -> np.ndarray:
@@ -93,7 +90,7 @@ def gen_linear_regression(
     features = rng.standard_normal((n_samples, n_features))
     weights = rng.uniform(-1.0, 1.0, size=n_features)
     targets = features @ weights
-    return CleanDataset(features, targets, REGRESSION, "linear")
+    return CleanDataset(features, targets, REGRESSION)
 
 
 def gen_friedman1(n_samples: int, n_features: int, rng: RandomSource) -> CleanDataset:
@@ -111,7 +108,7 @@ def gen_friedman1(n_samples: int, n_features: int, rng: RandomSource) -> CleanDa
         + 10.0 * x[:, 3]
         + 5.0 * x[:, 4]
     )
-    return CleanDataset(x, targets, REGRESSION, "friedman1")
+    return CleanDataset(x, targets, REGRESSION)
 
 
 def informative_count(n_features: int) -> int:
@@ -143,7 +140,7 @@ def gen_two_class(
     centers = np.where(labels[:, None] > 0.5, class_sep, -class_sep) * axis
     features = centers + rng.standard_normal((n_samples, n_features))
     order = rng.permutation(n_samples)
-    return CleanDataset(features[order], labels[order], CLASSIFICATION, "two_class")
+    return CleanDataset(features[order], labels[order], CLASSIFICATION)
 
 
 # Every generator is called as fn(n_samples, n_features, rng).
@@ -208,6 +205,4 @@ def inject_noise(
         noise=noise,
         targets=clean.targets,
         ddr_tuple=ddr_tuple,
-        task=clean.task,
-        generator_id=clean.generator_id,
     )

@@ -8,7 +8,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateTargetError, DomainError
-from .models import ModelSpec
 from .signals import DdrValue
 
 
@@ -64,65 +63,43 @@ class CurvePoint:
     replicates: int
 
 
-@dataclass(frozen=True, eq=False)
-class AccuracyCurve:
-    """Accuracy against dataset-level DDR for one model on one generator.
-
-    Points are strictly increasing in DDR and span the full [0, 1] range.
-    """
-
-    points: Tuple[CurvePoint, ...]
-    model: ModelSpec
-    dataset: str
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
-            raise DomainError("a curve needs at least its two endpoints")
-        ddrs = [p.ddr for p in self.points]
-        if any(b <= a for a, b in zip(ddrs, ddrs[1:])):
-            raise DomainError("curve points must be strictly increasing in DDR")
-        if ddrs[0] != 0.0 or ddrs[-1] != 1.0:
-            raise DomainError("curve must span DDR 0 to 1")
-        for p in self.points:
-            if not (0.0 <= p.train_accuracy <= 1.0 and 0.0 <= p.test_accuracy <= 1.0):
-                raise DomainError("accuracies must lie in [0, 1]")
-
-    def ddrs(self) -> np.ndarray:
-        return np.array([p.ddr for p in self.points])
-
-    def accuracies(self, which: str) -> np.ndarray:
-        if which == "train":
-            return np.array([p.train_accuracy for p in self.points])
-        if which == "test":
-            return np.array([p.test_accuracy for p in self.points])
-        raise DomainError(f"which must be 'train' or 'test', got {which!r}")
-
-
-def normalized_auc(curve: AccuracyCurve, which: str = "test") -> float:
+def normalized_auc(ddrs, accuracies) -> float:
     """Trapezoidal area under accuracy(DDR) for DDR in [0, 1].
 
+    DDRs must rise strictly from 0 to 1 and every accuracy lie in [0, 1].
     The domain has unit length, so the raw area is already normalized.
     """
-    return float(np.trapezoid(curve.accuracies(which), curve.ddrs()))
+    x = np.asarray(ddrs, dtype=np.float64)
+    y = np.asarray(accuracies, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise DomainError("need equal-length DDR and accuracy vectors of at least two points")
+    if not np.all(np.diff(x) > 0.0):
+        raise DomainError("DDRs must be strictly increasing")
+    if x[0] != 0.0 or x[-1] != 1.0:
+        raise DomainError("DDRs must span 0 to 1")
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise DomainError("accuracies must lie in [0, 1]")
+    return float(np.trapezoid(y, x))
 
 
 @dataclass(frozen=True, eq=False)
 class PerformanceReport:
     """Per-model sweep outcome: curve, AUCs, trust points, and the config echo.
 
-    AUCs are None when any experiment cell failed; such reports are flagged
-    incomplete and carry the per-cell diagnostics.
+    A report whose incomplete_cells are empty carries the curve and AUCs.
+    When any experiment cell failed, the report carries the per-cell
+    diagnostics instead, and no curve or AUC.
     """
 
-    model: ModelSpec
+    model: str
     task: str
     generator: str
-    curve: Optional[AccuracyCurve]
-    auc_train: Optional[float]
-    auc_test: Optional[float]
-    trust_points: Tuple[Tuple[float, float], ...]
     config: dict
     master_seed: int
+    curve: Optional[Tuple[CurvePoint, ...]] = None
+    auc_train: Optional[float] = None
+    auc_test: Optional[float] = None
+    trust_points: Tuple[Tuple[float, float], ...] = ()
     incomplete_cells: Tuple[str, ...] = ()
 
     @property
@@ -130,20 +107,17 @@ class PerformanceReport:
         return not self.incomplete_cells
 
 
-def report_from_curve(
-    curve: AccuracyCurve, config: dict, master_seed: int
-) -> PerformanceReport:
-    """Assemble the complete-report case: AUCs plus test-accuracy trust points."""
+def report_from_curve(curve: Tuple[CurvePoint, ...], **fields) -> PerformanceReport:
+    """Assemble the complete-report case: AUCs plus test-accuracy trust points.
+
+    ``fields`` are the report's remaining fields: model, task, generator,
+    config and master_seed.
+    """
+    ddrs = [p.ddr for p in curve]
     return PerformanceReport(
-        model=curve.model,
-        task=curve.model.task,
-        generator=curve.dataset,
         curve=curve,
-        auc_train=normalized_auc(curve, "train"),
-        auc_test=normalized_auc(curve, "test"),
-        trust_points=tuple(
-            (p.ddr, trust_point(p.test_accuracy, p.ddr)) for p in curve.points
-        ),
-        config=config,
-        master_seed=master_seed,
+        auc_train=normalized_auc(ddrs, [p.train_accuracy for p in curve]),
+        auc_test=normalized_auc(ddrs, [p.test_accuracy for p in curve]),
+        trust_points=tuple((p.ddr, trust_point(p.test_accuracy, p.ddr)) for p in curve),
+        **fields,
     )

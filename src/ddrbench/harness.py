@@ -21,21 +21,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import datagen
 from .datagen import CLASS_SEP, CLASSIFICATION, GENERATOR_TASKS, GENERATORS, REGRESSION
 from .errors import ConfigError, DdrBenchError
-from .evaluation import (
-    AccuracyCurve,
-    CurvePoint,
-    PerformanceReport,
-    f1_score,
-    nmse_accuracy,
-    report_from_curve,
-)
+from .evaluation import CurvePoint, PerformanceReport, f1_score, nmse_accuracy, report_from_curve
 from .models import CLASSIFICATION_KINDS, MODELS, REGRESSION_KINDS, ModelSpec, fit, predict
 from .rng import fnv1a64, make_rng, mix_seed
 from .sampler import sample_ddr_tuples
@@ -43,6 +36,9 @@ from .sampler import sample_ddr_tuples
 SCHEMA_VERSION = 1
 
 THREADS_ENV = "DDRBENCH_THREADS"
+
+# Share of each dataset's rows (per class, for classification) used for training.
+TRAIN_FRACTION = 0.8
 
 
 def default_grid(points: int = 21) -> Tuple[float, ...]:
@@ -63,7 +59,6 @@ class ExperimentConfig:
     n_features: int = 10
     ddr_grid: Tuple[float, ...] = field(default_factory=default_grid)
     tuples_per_grid_point: int = 5
-    train_fraction: float = 0.8
     burn_in: int = 1000
     thinning: int = 10
     master_seed: int = 0
@@ -103,10 +98,14 @@ class ExperimentConfig:
         object.__setattr__(self, "ddr_grid", grid)
         if self.tuples_per_grid_point < 1:
             raise ConfigError("tuples_per_grid_point must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if self.n_samples < 4 or self.n_features < 1:
             raise ConfigError("need n_samples >= 4 and n_features >= 1")
+        test_rows = self.n_samples - _train_size(self.n_samples)
+        if self.task == REGRESSION and test_rows < 2:
+            raise ConfigError(
+                f"n_samples={self.n_samples} leaves {test_rows} test row; "
+                "regression scoring needs at least 2"
+            )
         for kind in models:
             gen = self.generator_for(kind)
             if gen == "friedman1" and self.n_features < 5:
@@ -128,7 +127,7 @@ class ExperimentConfig:
             "n_features": self.n_features,
             "ddr_grid": list(self.ddr_grid),
             "tuples_per_grid_point": self.tuples_per_grid_point,
-            "train_fraction": self.train_fraction,
+            "train_fraction": TRAIN_FRACTION,
             "class_sep": CLASS_SEP,
             "burn_in": self.burn_in,
             "thinning": self.thinning,
@@ -152,28 +151,25 @@ def _grid_key(ddr: float) -> int:
     return int(round(float(ddr) * (1 << 30)))
 
 
-def _split_indices(
-    targets: np.ndarray, task: str, train_fraction: float, seed: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _train_size(n: int) -> int:
+    """Training rows out of n: TRAIN_FRACTION of them, leaving one or more on each side."""
+    return min(max(int(round(TRAIN_FRACTION * n)), 1), n - 1)
+
+
+def _split_indices(targets: np.ndarray, task: str, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     rng = make_rng(seed)
-    n = targets.size
     if task == CLASSIFICATION:
         train_parts, test_parts = [], []
         for label in (0.0, 1.0):
             idx = np.flatnonzero(targets == label)
             idx = idx[rng.permutation(idx.size)]
-            cut = int(round(train_fraction * idx.size))
-            cut = min(max(cut, 1), idx.size - 1)
+            cut = _train_size(idx.size)
             train_parts.append(idx[:cut])
             test_parts.append(idx[cut:])
         return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
-    order = rng.permutation(n)
-    cut = min(max(int(round(train_fraction * n)), 1), n - 1)
+    order = rng.permutation(targets.size)
+    cut = _train_size(targets.size)
     return np.sort(order[:cut]), np.sort(order[cut:])
-
-
-Cell = Tuple[str, int, int]
-Outcome = Tuple[Cell, Optional[Tuple[float, float]], Optional[str]]
 
 
 def _noisy_split(
@@ -190,10 +186,7 @@ def _noisy_split(
     features = noisy.observed
     targets = noisy.targets
     train_idx, test_idx = _split_indices(
-        targets,
-        config.task,
-        config.train_fraction,
-        seed_derivation(config.master_seed, key, replicate, "split"),
+        targets, config.task, seed_derivation(config.master_seed, key, replicate, "split")
     )
     split = (features[train_idx], targets[train_idx], features[test_idx], targets[test_idx])
     # Every model on this generator gets these same arrays, so none may write into them.
@@ -217,22 +210,24 @@ def _score(
     return train_acc, test_acc
 
 
-def _run_grid_point(config: ExperimentConfig, gi: int) -> List[Outcome]:
+def _run_grid_point(
+    config: ExperimentConfig, gi: int
+) -> Dict[str, List[Union[Tuple[float, float], str]]]:
     """Score every (model, replicate) cell at one grid point.
 
-    The DDR tuples are sampled once, and each replicate's dataset is built once
-    per generator and shared by every model on that generator.  A failure
-    fails exactly the cells that depend on the failed step.
+    Returns one list per model kind, one entry per replicate in order: the
+    (train, test) accuracy pair, or the failure message.  The DDR tuples are
+    sampled once, and each replicate's dataset is built once per generator
+    and shared by every model on that generator.  A failure fails exactly
+    the cells that depend on the failed step.
     """
     ddr = config.ddr_grid[gi]
     key = _grid_key(ddr)
     replicates = range(config.tuples_per_grid_point)
-    outcomes: List[Outcome] = []
+    cells: Dict[str, list] = {kind: [] for kind in config.models}
 
-    def fail(kinds, ri, exc):
-        outcomes.extend(
-            ((kind, gi, ri), None, f"{kind} at ddr={ddr:g} rep={ri}: {exc}") for kind in kinds
-        )
+    def failure(kind, ri, exc) -> str:
+        return f"{kind} at ddr={ddr:g} rep={ri}: {exc}"
 
     try:
         tuples = sample_ddr_tuples(
@@ -244,26 +239,25 @@ def _run_grid_point(config: ExperimentConfig, gi: int) -> List[Outcome]:
             thinning=config.thinning,
         )
     except DdrBenchError as exc:
-        for ri in replicates:
-            fail(config.models, ri, exc)
-        return outcomes
+        return {kind: [failure(kind, ri, exc) for ri in replicates] for kind in cells}
 
     by_generator: Dict[str, List[str]] = {}
-    for kind in config.models:
+    for kind in cells:
         by_generator.setdefault(config.generator_for(kind), []).append(kind)
     for ri in replicates:
         for generator_id, kinds in by_generator.items():
             try:
                 data = _noisy_split(config, generator_id, key, ri, tuples[ri])
             except DdrBenchError as exc:
-                fail(kinds, ri, exc)
+                for kind in kinds:
+                    cells[kind].append(failure(kind, ri, exc))
                 continue
             for kind in kinds:
                 try:
-                    outcomes.append(((kind, gi, ri), _score(config, kind, key, ri, data), None))
+                    cells[kind].append(_score(config, kind, key, ri, data))
                 except DdrBenchError as exc:
-                    fail((kind,), ri, exc)
-    return outcomes
+                    cells[kind].append(failure(kind, ri, exc))
+    return cells
 
 
 def _thread_count() -> int:
@@ -291,39 +285,25 @@ def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_point = list(pool.map(partial(_run_grid_point, config), grid_indices))
-    outcomes = [outcome for point in per_point for outcome in point]
-
-    scores = {cell: result for cell, result, _ in outcomes if result is not None}
-    failures: Dict[str, List[str]] = {}
-    for cell, result, message in outcomes:
-        if result is None:
-            failures.setdefault(cell[0], []).append(message)
 
     reports = []
     for kind in config.models:
-        diagnostics = tuple(sorted(failures.get(kind, ())))
-        spec = ModelSpec(kind)
-        if diagnostics:
-            reports.append(
-                PerformanceReport(
-                    model=spec,
-                    task=config.task,
-                    generator=config.generator_for(kind),
-                    curve=None,
-                    auc_train=None,
-                    auc_test=None,
-                    trust_points=(),
-                    config=config.echo(),
-                    master_seed=config.master_seed,
-                    incomplete_cells=diagnostics,
-                )
-            )
+        rows = [point[kind] for point in per_point]
+        fields = dict(
+            model=kind,
+            task=config.task,
+            generator=config.generator_for(kind),
+            config=config.echo(),
+            master_seed=config.master_seed,
+        )
+        failures = sorted(cell for cells in rows for cell in cells if isinstance(cell, str))
+        if failures:
+            reports.append(PerformanceReport(incomplete_cells=tuple(failures), **fields))
             continue
         points = []
-        for gi, ddr in enumerate(config.ddr_grid):
-            pairs = [scores[(kind, gi, ri)] for ri in range(config.tuples_per_grid_point)]
-            train = np.array([p[0] for p in pairs])
-            test = np.array([p[1] for p in pairs])
+        for ddr, cells in zip(config.ddr_grid, rows):
+            train = np.array([cell[0] for cell in cells])
+            test = np.array([cell[1] for cell in cells])
             ddof = 1 if train.size > 1 else 0
             points.append(
                 CurvePoint(
@@ -335,10 +315,7 @@ def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:
                     replicates=train.size,
                 )
             )
-        curve = AccuracyCurve(
-            points=tuple(points), model=spec, dataset=config.generator_for(kind)
-        )
-        reports.append(report_from_curve(curve, config.echo(), config.master_seed))
+        reports.append(report_from_curve(tuple(points), **fields))
 
     if config.out_dir is not None:
         write_outputs(reports, config.out_dir)
@@ -367,9 +344,9 @@ def write_text_atomic(path, text: str) -> None:
 CURVE_CSV_HEADER = "ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates"
 
 
-def curve_csv_lines(curve: AccuracyCurve) -> List[str]:
+def curve_csv_lines(curve: Sequence[CurvePoint]) -> List[str]:
     lines = [CURVE_CSV_HEADER]
-    for p in curve.points:
+    for p in curve:
         lines.append(
             f"{p.ddr:.6f},{p.train_accuracy:.6f},{p.train_std:.6f},"
             f"{p.test_accuracy:.6f},{p.test_std:.6f},{p.replicates}"
@@ -377,14 +354,14 @@ def curve_csv_lines(curve: AccuracyCurve) -> List[str]:
     return lines
 
 
-def write_curve_csv(curve: AccuracyCurve, path) -> None:
+def write_curve_csv(curve: Sequence[CurvePoint], path) -> None:
     write_text_atomic(path, "\n".join(curve_csv_lines(curve)) + "\n")
 
 
 def report_payload(report: PerformanceReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "model": report.model.kind,
+        "model": report.model,
         "task": report.task,
         "generator": report.generator,
         "auc_train": report.auc_train,
@@ -414,13 +391,13 @@ def write_outputs(reports: Sequence[PerformanceReport], out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        curve_path = out / f"{report.model.kind}_curve.csv"
+        curve_path = out / f"{report.model}_curve.csv"
         if report.curve is not None:
             write_curve_csv(report.curve, curve_path)
         else:
             # A curve left by an earlier run would sit beside a report without one.
             curve_path.unlink(missing_ok=True)
-        write_report_json(report, out / f"{report.model.kind}_report.json")
+        write_report_json(report, out / f"{report.model}_report.json")
 
 
 def resolve_models(task: str, selector: str) -> Tuple[str, ...]:

@@ -221,10 +221,11 @@ class KnnModel:
     ties resolve to the lowest training index, vote ties to class 1.  Each
     row's k-th smallest distance comes from a partial partition.  When
     exactly k distances are at or below it, those k are taken in index order
-    and stable-sorted by distance.  A row with more (a tie at the k-th
-    distance), and every row when k equals the training size, takes the full
-    stable argsort instead.  The votes reach the mean in the same order
-    either way, so predictions are bit-identical to the full sort.
+    and stable-sorted by distance; when k equals the training size every
+    distance is at or below the row maximum, so that is every row, in full.
+    A row with more (a tie at the k-th distance) takes the full stable
+    argsort instead.  The votes reach the mean in the same order either way,
+    so predictions are bit-identical to the full sort.
     """
 
     def __init__(self, k: int, classification: bool):
@@ -252,8 +253,6 @@ class KnnModel:
 
     def _nearest(self, d2: np.ndarray) -> np.ndarray:
         k = self.k
-        if k >= d2.shape[1]:
-            return np.argsort(d2, axis=1, kind="stable")[:, :k]
         # A copied column, so the partitioned matrix is freed before the mask is built.
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
         candidates = d2 <= kth[:, None]

@@ -53,6 +53,6 @@ def default_run():
     )
     elapsed = time.monotonic() - start
     return {
-        "reports": {r.model.kind: r for r in regression + classification},
+        "reports": {r.model: r for r in regression + classification},
         "elapsed": elapsed,
     }

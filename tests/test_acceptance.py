@@ -168,11 +168,11 @@ def friedman1_bayes_ceiling(grid, n, samples, rng):
 
 def auc_standard_error(report):
     """Standard error of the test AUC from each point's test_std and replicates."""
-    ddrs = report.curve.ddrs()
+    ddrs = np.array([p.ddr for p in report.curve])
     weights = np.zeros_like(ddrs)
     weights[:-1] += np.diff(ddrs) / 2.0
     weights[1:] += np.diff(ddrs) / 2.0
-    point_se = [p.test_std / math.sqrt(p.replicates) for p in report.curve.points]
+    point_se = [p.test_std / math.sqrt(p.replicates) for p in report.curve]
     return float(np.sqrt(np.sum(np.square(weights * point_se))))
 
 
@@ -239,8 +239,8 @@ def test_criterion_04_trend_reproduction(default_run):
     rows = []
     ok = default_run["elapsed"] < 600.0
     for kind, report in sorted(reports.items()):
-        acc = report.curve.accuracies("test")
-        rho = float(spearmanr(report.curve.ddrs(), acc).statistic)
+        acc = np.array([p.test_accuracy for p in report.curve])
+        rho = float(spearmanr([p.ddr for p in report.curve], acc).statistic)
         diff = float(acc[-1] - acc[0])
         rows.append((kind, rho, diff))
         if rho < 0.9 or diff < 0.2:
@@ -258,7 +258,7 @@ def test_criterion_05_regression_reference_bands(default_run):
     config = reports["olsr"].config
     n = config["n_features"]
     n_train = int(round(config["train_fraction"] * config["n_samples"]))
-    grid = reports["olsr"].curve.ddrs()
+    grid = np.array([p.ddr for p in reports["olsr"].curve])
 
     # The quadrature must agree with the oracle criterion 3 trusts.
     for big_r in (0.2, 0.5, 0.8):
@@ -366,23 +366,10 @@ def test_criterion_07_metric_unit_suite():
     assert trust_point(0.7, 0.0) == 0.0
     assert trust_point(1.0, 1.0) == 1.0
     assert abs(trust_point(0.9, 0.8) - 0.72) <= tol
-    from ddrbench.evaluation import AccuracyCurve, CurvePoint
-    from ddrbench.models import ModelSpec
-
-    def curve(points):
-        return AccuracyCurve(
-            points=tuple(CurvePoint(d, a, a, 0.0, 0.0, 1) for d, a in points),
-            model=ModelSpec("olsr"),
-            dataset="linear",
-        )
-
-    assert normalized_auc(curve([(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]), "test") == 1.0
+    assert normalized_auc([0.0, 0.5, 1.0], [1.0, 1.0, 1.0]) == 1.0
     grid = np.linspace(0.0, 1.0, 9)
-    assert abs(normalized_auc(curve([(d, d) for d in grid]), "test") - 0.5) <= tol
-    assert (
-        abs(normalized_auc(curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]), "test") - 0.5)
-        <= tol
-    )
+    assert abs(normalized_auc(grid, grid) - 0.5) <= tol
+    assert abs(normalized_auc([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]) - 0.5) <= tol
     elapsed = time.monotonic() - start
     report_line(7, "metric unit suite", elapsed < 1.0, f"{elapsed:.2f}s")
     assert elapsed < 1.0

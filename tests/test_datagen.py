@@ -218,7 +218,7 @@ class TestInjectNoise:
         from ddrbench.datagen import CleanDataset
 
         features = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
-        clean = CleanDataset(features, np.arange(10.0), REGRESSION, "linear")
+        clean = CleanDataset(features, np.arange(10.0), REGRESSION)
         with pytest.raises(DegenerateDeterministicError, match="column 1"):
             inject_noise(clean, uniform_tuple([0.5, 0.5]), make_rng(23))
 
@@ -226,7 +226,7 @@ class TestInjectNoise:
         from ddrbench.datagen import CleanDataset
 
         features = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
-        clean = CleanDataset(features, np.arange(10.0), REGRESSION, "linear")
+        clean = CleanDataset(features, np.arange(10.0), REGRESSION)
         noisy = inject_noise(clean, uniform_tuple([0.5, 0.0]), make_rng(24))
         assert np.array_equal(noisy.deterministic[:, 1], np.zeros(10))
 
@@ -234,7 +234,7 @@ class TestInjectNoise:
         from ddrbench.datagen import CleanDataset
 
         features = np.column_stack([np.arange(10.0), np.full(10, 3.0), np.full(10, -1.0)])
-        clean = CleanDataset(features, np.arange(10.0), REGRESSION, "linear")
+        clean = CleanDataset(features, np.arange(10.0), REGRESSION)
         with pytest.raises(DegenerateDeterministicError, match="column 1 is constant but requests DDR 0.5"):
             inject_noise(clean, uniform_tuple([0.5, 0.5, 0.25]), make_rng(23))
         with pytest.raises(DegenerateDeterministicError, match="column 2 is constant but requests DDR 0.25"):
@@ -243,7 +243,7 @@ class TestInjectNoise:
     def test_single_sample_needs_zero_ddr(self):
         from ddrbench.datagen import CleanDataset
 
-        clean = CleanDataset(np.ones((1, 2)), np.ones(1), REGRESSION, "linear")
+        clean = CleanDataset(np.ones((1, 2)), np.ones(1), REGRESSION)
         with pytest.raises(DomainError, match="at least two samples"):
             inject_noise(clean, uniform_tuple([0.5, 0.0]), make_rng(23))
         noisy = inject_noise(clean, uniform_tuple([0.0, 0.0]), make_rng(23))
@@ -255,13 +255,13 @@ class TestCleanDataset:
         from ddrbench.datagen import CleanDataset
 
         features, targets = np.ones((4, 2)), np.arange(4.0)
-        clean = CleanDataset(features, targets, REGRESSION, "linear")
+        clean = CleanDataset(features, targets, REGRESSION)
         assert clean.features is features and clean.targets is targets
         assert not features.flags.writeable and not targets.flags.writeable
 
     def test_converts_other_dtypes(self):
         from ddrbench.datagen import CleanDataset
 
-        clean = CleanDataset([[1, 2], [3, 4]], [0, 1], REGRESSION, "linear")
+        clean = CleanDataset([[1, 2], [3, 4]], [0, 1], REGRESSION)
         assert clean.features.dtype == np.float64 and clean.targets.dtype == np.float64
         assert not clean.features.flags.writeable

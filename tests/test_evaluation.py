@@ -7,24 +7,13 @@ from hypothesis import strategies as st
 
 from ddrbench.errors import DegenerateTargetError, DomainError
 from ddrbench.evaluation import (
-    AccuracyCurve,
     CurvePoint,
     f1_score,
     nmse_accuracy,
     normalized_auc,
+    report_from_curve,
     trust_point,
 )
-from ddrbench.models import ModelSpec
-
-
-def curve_of(points):
-    return AccuracyCurve(
-        points=tuple(
-            CurvePoint(d, tr, te, 0.0, 0.0, 1) for d, tr, te in points
-        ),
-        model=ModelSpec("olsr"),
-        dataset="linear",
-    )
 
 
 class TestNmseAccuracy:
@@ -111,39 +100,48 @@ class TestTrustPoint:
 
 class TestCurveAndAuc:
     def test_constant_one(self):
-        c = curve_of([(0.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 1.0)])
-        assert normalized_auc(c, "test") == 1.0
+        assert normalized_auc([0.0, 0.5, 1.0], [1.0, 1.0, 1.0]) == 1.0
 
     def test_linear_curve_exact(self):
         grid = np.linspace(0.0, 1.0, 7)
-        c = curve_of([(d, d, d) for d in grid])
-        assert normalized_auc(c, "test") == pytest.approx(0.5, abs=1e-12)
+        assert normalized_auc(grid, grid) == pytest.approx(0.5, abs=1e-12)
 
     def test_two_trapezoid_hand_sum(self):
-        c = curve_of([(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)])
-        assert normalized_auc(c, "test") == pytest.approx(0.5, abs=1e-9)
+        assert normalized_auc([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]) == pytest.approx(0.5, abs=1e-9)
 
     def test_dominating_curve_has_larger_auc(self):
-        lo = curve_of([(0.0, 0.1, 0.1), (0.5, 0.3, 0.3), (1.0, 0.6, 0.6)])
-        hi = curve_of([(0.0, 0.2, 0.2), (0.5, 0.5, 0.5), (1.0, 0.9, 0.9)])
-        assert normalized_auc(hi, "test") >= normalized_auc(lo, "test")
+        grid = [0.0, 0.5, 1.0]
+        assert normalized_auc(grid, [0.2, 0.5, 0.9]) >= normalized_auc(grid, [0.1, 0.3, 0.6])
 
     def test_train_and_test_series_differ(self):
-        c = curve_of([(0.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
-        assert normalized_auc(c, "train") == 1.0
-        assert normalized_auc(c, "test") == 0.5
+        curve = (CurvePoint(0.0, 1.0, 0.0, 0.0, 0.0, 1), CurvePoint(1.0, 1.0, 1.0, 0.0, 0.0, 1))
+        report = report_from_curve(
+            curve, model="olsr", task="regression", generator="linear", config={}, master_seed=0
+        )
+        assert report.complete and report.curve is curve
+        assert report.auc_train == 1.0
+        assert report.auc_test == 0.5
+        assert report.trust_points == ((0.0, 0.0), (1.0, 1.0))
 
     def test_curve_requires_unit_span(self):
-        with pytest.raises(DomainError):
-            curve_of([(0.1, 0.5, 0.5), (1.0, 0.6, 0.6)])
-        with pytest.raises(DomainError):
-            curve_of([(0.0, 0.5, 0.5), (0.9, 0.6, 0.6)])
+        with pytest.raises(DomainError, match="span"):
+            normalized_auc([0.1, 1.0], [0.5, 0.6])
+        with pytest.raises(DomainError, match="span"):
+            normalized_auc([0.0, 0.9], [0.5, 0.6])
 
     def test_curve_requires_strict_order(self):
-        with pytest.raises(DomainError):
-            curve_of([(0.0, 0.5, 0.5), (0.5, 0.6, 0.6), (0.5, 0.7, 0.7), (1.0, 1, 1)])
+        with pytest.raises(DomainError, match="increasing"):
+            normalized_auc([0.0, 0.5, 0.5, 1.0], [0.5, 0.6, 0.7, 1.0])
 
-    def test_bad_series_name(self):
-        c = curve_of([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-        with pytest.raises(DomainError):
-            normalized_auc(c, "validation")
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_accuracy_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            normalized_auc([0.0, 0.5, 1.0], [0.5, bad, 0.5])
+
+    @pytest.mark.parametrize(
+        "ddrs, accuracies",
+        [([0.0, 0.5, 1.0], [0.5, 0.5]), ([0.0, 1.0], [0.5, 0.5, 0.5]), ([1.0], [0.5])],
+    )
+    def test_needs_equal_length_vectors(self, ddrs, accuracies):
+        with pytest.raises(DomainError, match="equal-length"):
+            normalized_auc(ddrs, accuracies)

@@ -104,13 +104,35 @@ class TestConfigValidation:
         grid = default_grid(21)
         assert len(grid) == 21 and grid[0] == 0.0 and grid[-1] == 1.0
 
+    @pytest.mark.parametrize("n_samples", [4, 5, 6, 7])
+    def test_regression_needs_two_test_rows(self, n_samples):
+        # One test row makes every cell fail in nmse_accuracy.
+        with pytest.raises(ConfigError, match="1 test row"):
+            ExperimentConfig(
+                task=REGRESSION, models=("olsr",), n_samples=n_samples, n_features=1
+            )
+
+    def test_smallest_regression_size_runs(self):
+        cfg = ExperimentConfig(
+            task=REGRESSION, models=("olsr",), n_samples=8, n_features=1,
+            ddr_grid=(0.0, 1.0), tuples_per_grid_point=1, burn_in=50, thinning=3,
+        )
+        (report,) = run_experiment(cfg)
+        assert report.complete and report.curve[0].replicates == 1
+
+    def test_echo_keeps_train_fraction(self):
+        cfg = ExperimentConfig(task=REGRESSION, models=("olsr",))
+        assert cfg.echo()["train_fraction"] == 0.8
+        with pytest.raises(TypeError):
+            ExperimentConfig(task=REGRESSION, models=("olsr",), train_fraction=0.5)
+
 
 class TestRunExperiment:
     def test_basic_report_shape(self):
         cfg = ExperimentConfig(task=REGRESSION, models=("olsr",), master_seed=7, **SMALL)
         report = run_experiment(cfg)[0]
         assert report.complete
-        assert len(report.curve.points) == 3
+        assert len(report.curve) == 3
         assert 0.0 <= report.auc_test <= 1.0
         assert report.trust_points[0][1] == 0.0  # accuracy * 0 at ddr 0
 
@@ -141,7 +163,7 @@ class TestRunExperiment:
             tuples_per_grid_point=2, burn_in=50, thinning=3,
         )
         report = run_experiment(cfg)[0]
-        assert report.curve.points[-1].test_accuracy >= 0.99
+        assert report.curve[-1].test_accuracy >= 0.99
 
     def test_classifier_chance_level_at_zero_ddr(self):
         cfg = ExperimentConfig(
@@ -150,7 +172,7 @@ class TestRunExperiment:
             tuples_per_grid_point=3, burn_in=50, thinning=3,
         )
         report = run_experiment(cfg)[0]
-        assert 0.35 <= report.curve.points[0].test_accuracy <= 0.65
+        assert 0.35 <= report.curve[0].test_accuracy <= 0.65
 
     def test_cell_failure_marks_incomplete(self, monkeypatch):
         original = models.fit
@@ -179,8 +201,8 @@ class TestRunExperiment:
         )
         a = run_experiment(coarse)[0]
         b = run_experiment(fine)[0]
-        shared = {p.ddr: p for p in b.curve.points if p.ddr in (0.0, 0.5, 1.0)}
-        for p in a.curve.points:
+        shared = {p.ddr: p for p in b.curve if p.ddr in (0.0, 0.5, 1.0)}
+        for p in a.curve:
             assert p.test_accuracy == shared[p.ddr].test_accuracy
 
 
@@ -254,7 +276,7 @@ class TestSharedWork:
             seen[0][1][0, 0] = 0.0
 
     def test_fit_failure_fails_only_its_cell(self, monkeypatch):
-        clean = {r.model.kind: report_payload(r) for r in run_experiment(self.CFG)}
+        clean = {r.model: report_payload(r) for r in run_experiment(self.CFG)}
         bad_seed = _cell_seed(self.CFG, 0.5, 1, "model")
         original = harness.fit
 
@@ -264,7 +286,7 @@ class TestSharedWork:
             return original(spec, X, y)
 
         monkeypatch.setattr("ddrbench.harness.fit", failing)
-        reports = {r.model.kind: r for r in run_experiment(self.CFG)}
+        reports = {r.model: r for r in run_experiment(self.CFG)}
         assert reports["dtr"].incomplete_cells == (
             "dtr at ddr=0.5 rep=1: synthetic fit failure",
         )
@@ -272,7 +294,7 @@ class TestSharedWork:
             assert report_payload(reports[kind]) == clean[kind]
 
     def test_generator_failure_fails_only_its_models(self, monkeypatch):
-        clean = {r.model.kind: report_payload(r) for r in run_experiment(self.CFG)}
+        clean = {r.model: report_payload(r) for r in run_experiment(self.CFG)}
         bad_state = make_rng(_cell_seed(self.CFG, 0.5, 1, "datagen")).bit_generator.state
         original = harness.GENERATORS["friedman1"]
 
@@ -282,7 +304,7 @@ class TestSharedWork:
             return original(n_samples, n_features, rng)
 
         monkeypatch.setitem(harness.GENERATORS, "friedman1", failing)
-        reports = {r.model.kind: r for r in run_experiment(self.CFG)}
+        reports = {r.model: r for r in run_experiment(self.CFG)}
         for kind in ("dtr", "knnr"):
             assert reports[kind].incomplete_cells == (
                 f"{kind} at ddr=0.5 rep=1: synthetic datagen failure",
@@ -300,7 +322,7 @@ class TestSharedWork:
 
         monkeypatch.setattr("ddrbench.harness.sample_ddr_tuples", failing)
         for report in run_experiment(self.CFG):
-            kind = report.model.kind
+            kind = report.model
             assert report.incomplete_cells == tuple(
                 f"{kind} at ddr=0.5 rep={ri}: synthetic sampler failure" for ri in (0, 1)
             )
