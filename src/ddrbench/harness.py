@@ -79,6 +79,8 @@ class ExperimentConfig:
                 )
             if MODELS[kind].task != self.task:
                 raise ConfigError(f"model {kind!r} does not belong to task {self.task!r}")
+            if models.count(kind) > 1:
+                raise ConfigError(f"model {kind!r} is listed more than once")
         object.__setattr__(self, "models", models)
         if self.generator != "auto":
             if self.generator not in GENERATORS:

@@ -60,6 +60,16 @@ class TestRun:
         assert code == 1
         assert "friedman1" in capsys.readouterr().err
 
+    def test_duplicate_model_exit_one(self, tmp_path, capsys):
+        code = main([
+            "run", "--task", "regression", "--models", "olsr,olsr,dtr",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'olsr'" in err
+        assert not list(tmp_path.iterdir())
+
     def test_config_file_defaults_and_flag_wins(self, tmp_path):
         config = tmp_path / "bench.cfg"
         config.write_text(

@@ -71,6 +71,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(task=REGRESSION, models=("blrc",))
 
+    def test_duplicate_model_rejected(self):
+        # A repeated kind would write the same curve and report files twice.
+        with pytest.raises(ConfigError, match="'olsr' is listed more than once"):
+            ExperimentConfig(task=REGRESSION, models=("olsr", "dtr", "OLSR"))
+
     def test_generator_task_mismatch(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(task=REGRESSION, models=("olsr",), generator="two_class")

@@ -10,9 +10,11 @@ from ddrbench.errors import DomainError
 from ddrbench.evaluation import f1_score, nmse_accuracy
 from ddrbench.models import (
     MODEL_KINDS,
+    MODELS,
     REGRESSION_KINDS,
     MlpClassifier,
     ModelSpec,
+    _sigmoid,
     fit,
     predict,
 )
@@ -250,6 +252,22 @@ class TestMlp:
         params = MlpClassifier.init_params(4, 5, 0.5, seed=17)
         assert grad_check_error(params, X, y) <= 1e-5
 
+    def test_loss_and_grads_is_pure(self):
+        rng = make_rng(34)
+        X = rng.standard_normal((30, 4))
+        y = (rng.uniform(size=30) > 0.5).astype(float)
+        params = MlpClassifier.init_params(4, 6, 0.5, seed=35)
+        before = {name: np.array(value) for name, value in params.items()}
+        loss_a, grads_a = MlpClassifier.loss_and_grads(params, X, y)
+        loss_b, grads_b = MlpClassifier.loss_and_grads(params, X, y)
+        assert loss_a == loss_b
+        assert grads_a.keys() == grads_b.keys() == params.keys()
+        for name in params:
+            assert grads_a[name] is not grads_b[name]
+            assert not np.shares_memory(grads_a[name], grads_b[name])
+            assert np.asarray(grads_a[name]).tobytes() == np.asarray(grads_b[name]).tobytes()
+            assert np.asarray(params[name]).tobytes() == before[name].tobytes(), name
+
     def test_loss_non_increasing(self):
         data = gen_two_class(200, 5, make_rng(18))
         model = fit(ModelSpec("mlpc", seed=19), data.features, data.targets)
@@ -267,3 +285,129 @@ class TestMlp:
         a = MlpClassifier.init_params(3, 4, 0.5, seed=1)
         b = MlpClassifier.init_params(3, 4, 0.5, seed=2)
         assert not np.array_equal(a["w1"], b["w1"])
+
+
+def masked_sigmoid(z):
+    """The logistic function split by sign with boolean masks."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_mlp_loss_and_grads(params, X, y):
+    n = X.shape[0]
+    hidden = np.tanh(X @ params["w1"] + params["b1"])
+    z2 = hidden @ params["w2"] + params["b2"]
+    loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+    dz2 = (masked_sigmoid(z2) - y) / n
+    dz1 = np.outer(dz2, params["w2"]) * (1.0 - np.square(hidden))
+    grads = {
+        "w1": X.T @ dz1,
+        "b1": np.sum(dz1, axis=0),
+        "w2": hidden.T @ dz2,
+        "b2": np.sum(dz2),
+    }
+    return loss, grads
+
+
+def reference_mlp_fit(X, y, hidden_units, epochs, step, init_scale, seed):
+    """Fresh arrays every epoch; each parameter replaced by p - step * g."""
+    params = MlpClassifier.init_params(X.shape[1], hidden_units, init_scale, seed)
+    history = []
+    for _ in range(epochs):
+        loss, grads = reference_mlp_loss_and_grads(params, X, y)
+        history.append(loss)
+        for name in params:
+            params[name] = params[name] - step * grads[name]
+    history.append(reference_mlp_loss_and_grads(params, X, y)[0])
+    return params, history
+
+
+def reference_blrc_fit(X, y, iterations, step):
+    n = X.shape[0]
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(iterations):
+        gap = masked_sigmoid(X @ w + b) - y
+        w -= step * (X.T @ gap) / n
+        b -= step * float(np.mean(gap))
+    return w, b
+
+
+def trainer_case(case):
+    """(X, y, mlpc overrides, blrc overrides) for one reference-loop case."""
+    if case.startswith("two_class-"):
+        n, d = (int(v) for v in case.split("-")[1].split("x"))
+        data = gen_two_class(n, d, make_rng(n + d))
+        return data.features, data.targets, {}, {}
+    if case == "one-unit-one-epoch-one-feature":
+        data = gen_two_class(120, 1, make_rng(31))
+        return data.features, data.targets, {"hidden_units": 1, "epochs": 1}, {"iterations": 1}
+    if case == "saturated":
+        data = gen_two_class(200, 4, make_rng(32))
+        return 50.0 * data.features, data.targets, {}, {}
+    raise ValueError(case)
+
+
+TRAINER_CASES = [
+    "two_class-60x3",
+    "two_class-200x5",
+    "two_class-800x10",
+    "one-unit-one-epoch-one-feature",
+    "saturated",
+]
+
+
+class TestTrainerReferenceLoops:
+    """The buffered trainers against the plain allocate-per-epoch loops, byte for byte."""
+
+    @pytest.mark.parametrize("case", TRAINER_CASES)
+    def test_mlpc_matches_reference(self, case):
+        X, y, overrides, _ = trainer_case(case)
+        hp = {**MODELS["mlpc"].defaults, **overrides}
+        params, history = reference_mlp_fit(X, y, seed=33, **hp)
+        model = fit(ModelSpec("mlpc", overrides, seed=33), X, y).impl
+        assert len(model.loss_history) == hp["epochs"] + 1
+        assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
+        for name, value in params.items():
+            assert np.asarray(model.params[name]).tobytes() == np.asarray(value).tobytes(), name
+        if case == "saturated":
+            assert np.max(np.abs(X @ params["w1"] + params["b1"])) > 40.0
+
+    @pytest.mark.parametrize("case", TRAINER_CASES)
+    def test_blrc_matches_reference(self, case):
+        X, y, _, overrides = trainer_case(case)
+        hp = {**MODELS["blrc"].defaults, **overrides}
+        w, b = reference_blrc_fit(X, y, **hp)
+        model = fit(ModelSpec("blrc", overrides), X, y).impl
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
+        if case == "saturated":
+            assert np.max(np.abs(X @ w + b)) > 40.0
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, -745.0, 1e308, -1e308,
+             np.inf, -np.inf, np.nan]
+
+    def test_edge_values_match_masked_form(self):
+        z = np.array(self.EDGES)
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        for value in self.EDGES:
+            one = np.array([value])
+            assert _sigmoid(one).tobytes() == masked_sigmoid(one).tobytes(), value
+
+    def test_dense_range_matches_masked_form(self):
+        z = np.linspace(-800.0, 800.0, 100_007)
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+    def test_writes_into_out(self):
+        z = np.array(self.EDGES)
+        out = np.full_like(z, 7.0)
+        assert _sigmoid(z, out=out) is out
+        assert out.tobytes() == masked_sigmoid(z).tobytes()
+        assert _sigmoid(z, out=z) is z  # in place
+        assert z.tobytes() == out.tobytes()
