@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Record one BENCH file: an untraced perfbench run of every workload.
+"""Record one BENCH file: an untraced and a traced perfbench run of every workload.
 
 Runs ``perfbench/run.py --trace 0`` on each workload that BENCHMARK.json
 lists, one at a time, for the run length it sets and at the benchmark's
-default seed.  Then times one default ``ddrbench run`` per task (all models,
-21 grid points, 5 replicates, seed 0) at ``DDRBENCH_THREADS`` = 1 and 2,
+default seed, then ``--trace 1`` on each workload the same way; the traced
+runs' per-layer metrics and the wrapped names no sweep called
+(``uncalled_layers``, read from perfbench's result file) go under ``traced``.
+Then times one default ``ddrbench run`` per task (all models, 21 grid
+points, 5 replicates, seed 0) at ``DDRBENCH_THREADS`` = 1 and 2,
 each in a fresh interpreter with BLAS pinned to one thread as perfbench
 pins it; the wall time includes interpreter start-up and imports.  Writes
 the end-to-end metrics and these timings to a JSON file together with the
@@ -12,11 +15,11 @@ CPU count, the Python and numpy versions, the ``HEAD`` commit and a ``dirty``
 flag that is true when ``git status --porcelain`` lists any change, so a run
 from an uncommitted tree is not mistaken for a run of its parent commit.
 
-    python3 scripts/bench_record.py --out BENCH_7.json
+    python3 scripts/bench_record.py --out BENCH_9.json
 
-Exits 1 if a workload's run fails or reads ``correct: false``, or a default
-sweep exits non-zero; the file is written either way.  Numbers from
-different hosts are not comparable.
+Exits 1 if a workload's run, traced or not, fails or reads
+``correct: false``, or a default sweep exits non-zero; the file is written
+either way.  Numbers from different hosts are not comparable.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+# perfbench writes each run's full record here; see perfbench/NOTES.md.
+RESULTS = ROOT / ".perfbench_out"
 SPEC = ROOT / "BENCHMARK.json"
 SRC = ROOT / "src"
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -54,15 +59,21 @@ def git(*args: str) -> Optional[str]:
     return proc.stdout if proc.returncode == 0 else None
 
 
-def run_workload(workload: str, seconds: float) -> dict:
+def run_workload(workload: str, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seconds", str(seconds),
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "error": proc.stderr.strip()[-2000:] or f"exit {proc.returncode}"}
     summary = json.loads(lines[-1])
     summary["metrics"] = {name: m["value"] for name, m in summary["metrics"].items()}
+    if trace:
+        # run.py runs at its default seed 0 here.
+        result = RESULTS / workload / "result-seed0-trace1.json"
+        summary["uncalled_layers"] = json.loads(result.read_text(encoding="utf-8"))[
+            "uncalled_layers"
+        ]
     return summary
 
 
@@ -93,11 +104,14 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "seconds": spec["run_seconds"],
         "workloads": {},
+        "traced": {},
         "default_sweeps": {},
     }
-    for workload in (w["name"] for w in spec["workloads"]):
-        print(f"running {workload} ...", file=sys.stderr, flush=True)
-        record["workloads"][workload] = run_workload(workload, spec["run_seconds"])
+    workloads = [w["name"] for w in spec["workloads"]]
+    for trace, key in ((0, "workloads"), (1, "traced")):
+        for workload in workloads:
+            print(f"running {workload}, trace {trace} ...", file=sys.stderr, flush=True)
+            record[key][workload] = run_workload(workload, spec["run_seconds"], trace)
     for task in TASKS:
         for threads in SWEEP_THREADS:
             print(f"timing default {task} sweep, {threads} thread(s) ...", file=sys.stderr,
@@ -109,7 +123,8 @@ def main(argv=None) -> int:
                               encoding="utf-8")
     print(json.dumps(record, indent=2, sort_keys=True))
     sweeps = [t for by_threads in record["default_sweeps"].values() for t in by_threads.values()]
-    ok = all(w["correct"] for w in record["workloads"].values())
+    runs = [*record["workloads"].values(), *record["traced"].values()]
+    ok = all(w["correct"] for w in runs)
     return 0 if ok and all(t["exit"] == 0 for t in sweeps) else 1
 
 

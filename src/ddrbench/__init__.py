@@ -35,7 +35,7 @@ from .evaluation import (
 from .harness import ExperimentConfig, run_experiment, seed_derivation
 from .models import ModelSpec, TrainedModel, fit, predict
 from .rng import RandomSource, make_rng
-from .sampler import BoxSlice, DdrTuple, sample_ddr_tuples
+from .sampler import sample_ddr_tuples
 from .signals import (
     DdrValue,
     ddr_approx,
@@ -53,13 +53,11 @@ from .standardize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxSlice",
     "CLASSIFICATION",
     "CleanDataset",
     "ConfigError",
     "CurvePoint",
     "DdrBenchError",
-    "DdrTuple",
     "DdrValue",
     "DegenerateDeterministicError",
     "DegenerateSignalError",

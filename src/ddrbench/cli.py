@@ -37,10 +37,17 @@ CONFIG_KEYS = (
 )
 
 
+def _read_utf8(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def load_config_file(path: str) -> Dict[str, str]:
     """Parse the optional `key = value` config file ('#' starts a comment)."""
     values: Dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,7 +111,7 @@ def cmd_run(args) -> int:
 
 def read_curve_csv(path: str) -> Dict[str, List[float]]:
     """Parse a curve CSV; malformed rows are reported with their row number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(path).splitlines()
     if not lines or lines[0] != harness.CURVE_CSV_HEADER:
         raise ConfigError(f"{path}: row 1: bad or missing curve header")
     width = len(harness.CURVE_CSV_HEADER.split(","))
@@ -183,6 +190,9 @@ def read_report_json(path: str) -> dict:
 def cmd_summary(args) -> int:
     if not args.reports:
         raise ConfigError("at least one report JSON is required")
+    svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
+    if Path(svg_path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"the table and the bar chart would both be written to {args.out}")
     payloads = []
     for path in args.reports:
         payload = read_report_json(path)
@@ -194,7 +204,6 @@ def cmd_summary(args) -> int:
         raise ConfigError("no complete reports to summarize")
     payloads.sort(key=lambda p: p["model"])
     harness.write_summary_csv(payloads, args.out)
-    svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
     text = svg.bar_chart(
         [p["model"] for p in payloads],
         [p["auc_test"] for p in payloads],

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DegenerateDeterministicError, DomainError
 from .rng import RandomSource
-from .sampler import DdrTuple
 
 REGRESSION = "regression"
 CLASSIFICATION = "binary-classification"
@@ -63,14 +62,15 @@ class CleanDataset:
 class NoisyDataset:
     """Standardized noisy features, kept as their deterministic and noise parts.
 
-    Column j of both read-only matrices is feature j at DDR ``ddr_tuple.rs[j]``;
-    the targets are the clean dataset's, untouched.
+    Column j of both read-only matrices is feature j at DDR ``rs[j]``, the
+    read-only vector of nominal per-column DDRs; the targets are the clean
+    dataset's, untouched.
     """
 
     deterministic: np.ndarray
     noise: np.ndarray
     targets: np.ndarray
-    ddr_tuple: DdrTuple
+    rs: np.ndarray
 
     @property
     def observed(self) -> np.ndarray:
@@ -157,10 +157,11 @@ GENERATOR_TASKS: Dict[str, str] = {
 }
 
 
-def inject_noise(
-    clean: CleanDataset, ddr_tuple: DdrTuple, rng: RandomSource
-) -> NoisyDataset:
+def inject_noise(clean: CleanDataset, rs: np.ndarray, rng: RandomSource) -> NoisyDataset:
     """Standardize every clean feature column at its per-column DDR.
+
+    ``rs`` holds one DDR in [0, 1] per feature column, such as one row of
+    `sample_ddr_tuples`.
 
     Column j becomes alpha_j * x_j + beta_j plus N(0, 1 - r_j) noise, with the
     parameters `standardize_params` gives column j, taken for all columns in
@@ -170,11 +171,12 @@ def inject_noise(
     degenerate-column error names the lowest offending index.
     """
     n_samples, n_features = clean.features.shape
-    if len(ddr_tuple) != n_features:
-        raise DomainError(
-            f"tuple has {len(ddr_tuple)} entries for {n_features} columns"
-        )
-    rs = np.array(ddr_tuple.rs, dtype=np.float64)
+    rs = np.array(rs, dtype=np.float64)
+    if rs.shape != (n_features,):
+        raise DomainError(f"DDR vector has shape {rs.shape} for {n_features} columns")
+    if not np.all((rs >= 0.0) & (rs <= 1.0)):
+        raise DomainError(f"every DDR must lie in [0, 1], got {rs.tolist()}")
+    rs.flags.writeable = False
     active = rs > 0.0
     alpha, beta = np.zeros(n_features), np.zeros(n_features)
     if np.any(active):
@@ -204,5 +206,5 @@ def inject_noise(
         deterministic=deterministic,
         noise=noise,
         targets=clean.targets,
-        ddr_tuple=ddr_tuple,
+        rs=rs,
     )

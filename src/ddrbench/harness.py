@@ -175,14 +175,14 @@ def _split_indices(targets: np.ndarray, task: str, seed: int) -> Tuple[np.ndarra
 
 
 def _noisy_split(
-    config: ExperimentConfig, generator_id: str, key: int, replicate: int, ddr_tuple
+    config: ExperimentConfig, generator_id: str, key: int, replicate: int, rs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One replicate's noisy dataset from one generator, as read-only train and test arrays."""
     gen_rng = make_rng(seed_derivation(config.master_seed, key, replicate, "datagen"))
     clean = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
     noisy = datagen.inject_noise(
         clean,
-        ddr_tuple,
+        rs,
         make_rng(seed_derivation(config.master_seed, key, replicate, "noise")),
     )
     features = noisy.observed

@@ -11,8 +11,6 @@ the r-tuples themselves are then not uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -24,87 +22,36 @@ _MIN_CHORD = 1e-13
 _MAX_DIRECTION_RETRIES = 100
 
 
-@dataclass(frozen=True)
-class DdrTuple:
-    """Per-column DDRs realizing a dataset-level target R.
-
-    Invariant: sum(r_i^2) equals n * target^2 to within 1e-9.
-    """
-
-    rs: Tuple[DdrValue, ...]
-    target: DdrValue
-
-    def __post_init__(self) -> None:
-        if len(self.rs) == 0:
-            raise DomainError("a DDR tuple needs at least one column")
-        rs = tuple(DdrValue(r) for r in self.rs)
-        target = DdrValue(self.target)
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "target", target)
-        residual = abs(sum(r * r for r in rs) - len(rs) * target * target)
-        if residual > 1e-9:
-            raise DomainError(
-                f"tuple violates the two-norm constraint by {residual:.3e}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.rs)
+def _direction(n: int, rng: RandomSource) -> np.ndarray:
+    """A random unit direction whose components sum to zero, so steps stay on the slice."""
+    for _ in range(_MAX_DIRECTION_RETRIES):
+        d = rng.standard_normal(n)
+        d -= d.mean()
+        norm = float(np.linalg.norm(d))
+        if norm > 1e-12:
+            return d / norm
+    raise SamplerError("could not draw a usable in-slice direction")
 
 
-class BoxSlice:
-    """The unit box [0, 1]^dim cut by the hyperplane sum(x) = total.
-
-    Directions live in the hyperplane's tangent space (components sum to
-    zero), so every step preserves the coordinate sum by construction.
-    """
-
-    def __init__(self, dim: int, total: float):
-        if not 0.0 <= total <= dim:
-            raise DomainError(f"slice level {total!r} lies outside [0, {dim}]")
-        self.dim = dim
-        self.total = float(total)
-
-    def random_direction(self, rng: RandomSource) -> np.ndarray:
-        for _ in range(_MAX_DIRECTION_RETRIES):
-            d = rng.standard_normal(self.dim)
-            d -= d.mean()
-            norm = float(np.linalg.norm(d))
-            if norm > 1e-12:
-                return d / norm
-        raise SamplerError("could not draw a usable in-slice direction")
-
-    def chord(self, x: np.ndarray, d: np.ndarray) -> Tuple[float, float]:
-        """Lambda interval of {x + lam * d} inside the box faces."""
-        lo, hi = -math.inf, math.inf
-        for i in range(self.dim):
-            if abs(d[i]) <= 1e-16:
-                continue
-            a = (0.0 - x[i]) / d[i]
-            b = (1.0 - x[i]) / d[i]
-            if a > b:
-                a, b = b, a
-            lo = max(lo, a)
-            hi = min(hi, b)
-        if not math.isfinite(lo) or not math.isfinite(hi):
-            raise SamplerError("direction is parallel to every box face")
-        return lo, hi
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        # Clip into the box, then spread the (tiny) sum error evenly so the
-        # slice equation keeps holding to machine precision.
-        x = np.clip(x, 0.0, 1.0)
-        x = x + (self.total - float(np.sum(x))) / self.dim
-        return np.clip(x, 0.0, 1.0)
-
-
-def _step(region: BoxSlice, x: np.ndarray, rng: RandomSource) -> np.ndarray:
+def _step(s: np.ndarray, total: float, rng: RandomSource) -> np.ndarray:
     """One hit-and-run step: a uniform point on the chord along a random direction."""
     for _ in range(_MAX_DIRECTION_RETRIES):
-        d = region.random_direction(rng)
-        lo, hi = region.chord(x, d)
+        d = _direction(s.size, rng)
+        # The chord is the lambda interval of {s + lam * d} inside every box face.
+        moving = np.abs(d) > 1e-16
+        a = (0.0 - s[moving]) / d[moving]
+        b = (1.0 - s[moving]) / d[moving]
+        lo = float(np.max(np.minimum(a, b), initial=-math.inf))
+        hi = float(np.min(np.maximum(a, b), initial=math.inf))
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise SamplerError("direction is parallel to every box face")
         if hi - lo > _MIN_CHORD:
             lam = rng.uniform(lo, hi)
-            return region.clamp(x + lam * d)
+            # Clip into the box, then spread the (tiny) sum error evenly so the
+            # slice equation keeps holding to machine precision.
+            x = np.clip(s + lam * d, 0.0, 1.0)
+            x = x + (total - float(np.sum(x))) / s.size
+            return np.clip(x, 0.0, 1.0)
     raise SamplerError("no chord of positive length after bounded retries")
 
 
@@ -115,13 +62,16 @@ def sample_ddr_tuples(
     rng: RandomSource,
     burn_in: int = 1000,
     thinning: int = 10,
-) -> list[DdrTuple]:
+) -> np.ndarray:
     """Draw per-column DDR tuples for a dataset-level target R.
 
-    Chain states are squared DDRs on the slice {s in [0,1]^n : sum s = nR^2},
-    started from the always-feasible symmetric point s_i = R^2; tuples map
-    back through r_i = sqrt(s_i).  Degenerate targets (R = 0, R = 1, or
-    n = 1) force a single feasible corner, which is returned directly.
+    Returns a read-only (count, n) float64 array, one tuple per row, whose
+    entries lie in [0, 1] and whose rows' squares sum to n R^2 to within
+    1e-9.  Chain states are squared DDRs on the slice
+    {s in [0,1]^n : sum s = nR^2}, started from the always-feasible symmetric
+    point s_i = R^2; tuples map back through r_i = sqrt(s_i).  Degenerate
+    targets (R = 0, R = 1, or n = 1) force a single feasible corner, which is
+    returned directly.
     """
     if n < 1:
         raise DomainError("need at least one column")
@@ -132,17 +82,20 @@ def sample_ddr_tuples(
     big_r = DdrValue(target)
     total = n * big_r * big_r
     if n == 1 or total == 0.0 or total == float(n):
-        forced = tuple(DdrValue(big_r) for _ in range(n))
-        return [DdrTuple(rs=forced, target=big_r) for _ in range(count)]
-
-    region = BoxSlice(n, total)
-    s = np.full(n, big_r * big_r)
-    for _ in range(burn_in):
-        s = _step(region, s, rng)
-    tuples = []
-    for _ in range(count):
-        for _ in range(thinning):
-            s = _step(region, s, rng)
-        rs = tuple(DdrValue(math.sqrt(si)) for si in s)
-        tuples.append(DdrTuple(rs=rs, target=big_r))
+        tuples = np.full((count, n), float(big_r))
+    else:
+        s = np.full(n, big_r * big_r)
+        for _ in range(burn_in):
+            s = _step(s, total, rng)
+        tuples = np.empty((count, n))
+        for row in tuples:
+            for _ in range(thinning):
+                s = _step(s, total, rng)
+            np.sqrt(s, out=row)
+    residual = float(np.max(np.abs(np.sum(np.square(tuples), axis=1) - total)))
+    if not (residual <= 1e-9 and np.all((tuples >= 0.0) & (tuples <= 1.0))):
+        raise SamplerError(
+            f"tuples leave [0, 1] or miss the two-norm constraint by {residual:.3e}"
+        )
+    tuples.flags.writeable = False
     return tuples

@@ -215,15 +215,15 @@ def test_criterion_03_sampler_suite():
     # constraint + membership across a spread of targets
     for n, big_r in [(1, 0.6), (2, 0.3), (3, 0.5), (5, 0.8), (10, 0.95), (4, 0.0), (4, 1.0)]:
         for t in sample_ddr_tuples(n, big_r, 200, make_rng(31)):
-            assert all(0.0 <= r <= 1.0 for r in t.rs)
-            assert abs(sum(r * r for r in t.rs) - n * big_r**2) <= 1e-9
+            assert all(0.0 <= r <= 1.0 for r in t)
+            assert abs(sum(r * r for r in t) - n * big_r**2) <= 1e-9
 
     # marginal uniformity in s-space against the rejection oracle
     pvals = []
     for n, big_r, seed in [(2, 0.5, 32), (3, 0.5, 33)]:
         total = n * big_r**2
         tuples = sample_ddr_tuples(n, big_r, 10_000, make_rng(seed))
-        chain = np.array([[float(r) ** 2 for r in t.rs] for t in tuples])
+        chain = np.square(tuples)
         oracle = rejection_oracle(n, total, 10_000, make_rng(seed + 100))
         for j in range(n):
             pvals.append(ks_2samp(chain[:, j], oracle[:, j]).pvalue)

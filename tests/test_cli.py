@@ -91,6 +91,14 @@ class TestRun:
         assert err.startswith("error: ")
         assert str(config) in err and "samples" in err and "'abc'" in err
 
+    def test_non_utf8_config_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not valid UTF-8")
+        assert not (tmp_path / "o").exists()
+
     def test_partial_completion_exit_two(self, tmp_path, monkeypatch):
         import ddrbench.harness as harness
         from ddrbench.errors import DomainError
@@ -173,6 +181,14 @@ class TestPlot:
         assert code == 1
         assert "row 3" in capsys.readouterr().err
 
+    def test_non_utf8_curve_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "olsr_curve.csv"
+        bad.write_bytes(b"\xff")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--curves", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not valid UTF-8")
+        assert not out.exists()
+
 
 class TestSummary:
     @pytest.fixture()
@@ -202,6 +218,20 @@ class TestSummary:
         main(["summary", "--reports", *reports, "--out", str(out)])
         payload = json.loads((report_dir / "olsr_report.json").read_text())
         assert f"{payload['auc_test']:.3f}" in (tmp_path / "table.svg").read_text()
+
+    @pytest.mark.parametrize(
+        "out, svg",
+        [("table.svg", None), ("table.csv", "table.csv"), ("table.csv", "sub/../table.csv")],
+        ids=["default-svg", "explicit-svg", "same-file-other-spelling"],
+    )
+    def test_table_and_chart_on_one_path_exit_one(self, report_dir, tmp_path, capsys, out, svg):
+        reports = sorted(str(p) for p in report_dir.glob("*_report.json"))
+        args = ["summary", "--reports", *reports, "--out", str(tmp_path / out)]
+        if svg is not None:
+            args += ["--svg", str(tmp_path / svg)]
+        assert main(args) == 1
+        assert "both be written to" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
 
     def test_empty_reports_exit_one(self, tmp_path):
         assert main(["summary", "--out", str(tmp_path / "t.csv")]) == 1

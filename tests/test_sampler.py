@@ -1,13 +1,16 @@
 """Hit-and-run chain behavior and DDR tuple sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from ddrbench.errors import DomainError
+from ddrbench import sampler
+from ddrbench.errors import DomainError, SamplerError
+from ddrbench.harness import _grid_key, seed_derivation
 from ddrbench.rng import make_rng
-from ddrbench.sampler import BoxSlice, DdrTuple, _step, sample_ddr_tuples
-from ddrbench.signals import DdrValue
+from ddrbench.sampler import _step, sample_ddr_tuples
 
 
 def rejection_oracle(n, total, count, rng):
@@ -24,22 +27,11 @@ def rejection_oracle(n, total, count, rng):
     return np.asarray(out[:count])
 
 
-class TestDdrTuple:
-    def test_constraint_enforced(self):
-        with pytest.raises(DomainError):
-            DdrTuple((DdrValue(0.5), DdrValue(0.5)), DdrValue(0.9))
-
-    def test_valid_tuple(self):
-        t = DdrTuple((DdrValue(0.6), DdrValue(0.8)), DdrValue(np.sqrt(0.5)))
-        assert len(t) == 2
-
-
 class TestHitAndRun:
     def test_slice_sum_preserved(self):
-        region = BoxSlice(4, 1.2)
         x, rng = np.full(4, 0.3), make_rng(4)
         for _ in range(500):
-            x = _step(region, x, rng)
+            x = _step(x, 1.2, rng)
             assert abs(x.sum() - 1.2) <= 1e-9
             assert 0.0 <= x.min() and x.max() <= 1.0
 
@@ -47,33 +39,33 @@ class TestHitAndRun:
 class TestSampleDdrTuples:
     def test_single_column_forced(self):
         tuples = sample_ddr_tuples(1, 0.6, 3, make_rng(5))
-        assert [tuple(map(float, t.rs)) for t in tuples] == [(0.6,)] * 3
+        assert [tuple(map(float, t)) for t in tuples] == [(0.6,)] * 3
 
     def test_full_ddr_forced_corner(self):
         tuples = sample_ddr_tuples(2, 1.0, 4, make_rng(6))
-        assert all(tuple(map(float, t.rs)) == (1.0, 1.0) for t in tuples)
+        assert all(tuple(map(float, t)) == (1.0, 1.0) for t in tuples)
 
     def test_zero_ddr_forced_corner(self):
         tuples = sample_ddr_tuples(3, 0.0, 2, make_rng(7))
-        assert all(tuple(map(float, t.rs)) == (0.0, 0.0, 0.0) for t in tuples)
+        assert all(tuple(map(float, t)) == (0.0, 0.0, 0.0) for t in tuples)
 
     def test_constraint_and_membership(self):
         for n, big_r in [(2, 0.3), (3, 0.5), (5, 0.9), (10, 0.1)]:
             tuples = sample_ddr_tuples(n, big_r, 50, make_rng(8))
             for t in tuples:
-                assert all(0.0 <= r <= 1.0 for r in t.rs)
-                assert abs(sum(r * r for r in t.rs) - n * big_r**2) <= 1e-9
+                assert all(0.0 <= r <= 1.0 for r in t)
+                assert abs(sum(r * r for r in t) - n * big_r**2) <= 1e-9
 
     def test_seed_determinism(self):
         a = sample_ddr_tuples(4, 0.6, 10, make_rng(9))
         b = sample_ddr_tuples(4, 0.6, 10, make_rng(9))
-        assert [t.rs for t in a] == [t.rs for t in b]
+        assert np.array_equal(a, b)
 
     def test_marginals_match_rejection_oracle(self):
         # Uniformity holds for the squared tuples; compare in s-space.
         n, big_r, count = 3, 0.5, 2000
         tuples = sample_ddr_tuples(n, big_r, count, make_rng(10))
-        chain = np.array([[float(r) ** 2 for r in t.rs] for t in tuples])
+        chain = np.square(tuples)
         oracle = rejection_oracle(n, n * big_r**2, count, make_rng(11))
         for j in range(n):
             assert ks_2samp(chain[:, j], oracle[:, j]).pvalue > 0.01
@@ -82,7 +74,7 @@ class TestSampleDdrTuples:
         # total > 1 exercises the rejection step of the oracle too.
         n, big_r, count = 2, 0.9, 2000
         tuples = sample_ddr_tuples(n, big_r, count, make_rng(12))
-        chain = np.array([[float(r) ** 2 for r in t.rs] for t in tuples])
+        chain = np.square(tuples)
         oracle = rejection_oracle(n, n * big_r**2, count, make_rng(13))
         assert ks_2samp(chain[:, 0], oracle[:, 0]).pvalue > 0.01
 
@@ -93,3 +85,60 @@ class TestSampleDdrTuples:
             sample_ddr_tuples(2, 0.5, 0, make_rng(15))
         with pytest.raises(DomainError):
             sample_ddr_tuples(2, 1.5, 1, make_rng(16))
+
+
+# sha256 of sample_ddr_tuples(...).tobytes().  The digests pin the chain's
+# bits: an edit that changes any bit of any tuple fails here.
+CHAIN_DIGESTS = [
+    ((4, 0.6, 10, 9, {}), "d326dd0be84c84a9a0f3da8f85e24ef30a885c3e95a118be92179fe4514fb328"),
+    ((2, 0.9, 20, 12, {}), "4abb3c8a5196c391e8ec8f1ed6ceb93039ed212a0093bc68dabf795ca14fb3a1"),
+    ((50, 0.05, 3, 3, {}), "8c5b932b5f928dc2d2813e1068862069c40676342ac73130166f8dfd5097a440"),
+    (
+        (6, 0.3, 4, 31, {"burn_in": 50, "thinning": 3}),
+        "eab2c7d41502f1a0ceed728c8e92453c1c63573dce9b8332afce31c099c62e82",
+    ),
+]
+
+# The chains a default sweep at master seed 0 runs at these grid points.
+SWEEP_CHAIN_DIGESTS = {
+    0.5: "ef77e6a2e0c44e5d86abbd6d71b55f97d2d1eb977dc4e8f69b36a31a525adc9a",
+    0.95: "5662d9ad28f87baa9ef0c4dbc048bb8f326ba97b008d402fc479de0c8299a7d9",
+}
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize(
+        "n, big_r, count", [(4, 0.6, 3), (1, 0.6, 2), (3, 0.0, 2), (2, 1.0, 4)]
+    )
+    def test_read_only_float_matrix(self, n, big_r, count):
+        tuples = sample_ddr_tuples(n, big_r, count, make_rng(1))
+        assert tuples.shape == (count, n)
+        assert tuples.dtype == np.float64
+        assert not tuples.flags.writeable
+        with pytest.raises(ValueError):
+            tuples[0, 0] = 0.5
+
+    @pytest.mark.parametrize("args, digest", CHAIN_DIGESTS)
+    def test_chain_bytes_pinned(self, args, digest):
+        n, big_r, count, seed, kwargs = args
+        tuples = sample_ddr_tuples(n, big_r, count, make_rng(seed), **kwargs)
+        assert hashlib.sha256(tuples.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("ddr", sorted(SWEEP_CHAIN_DIGESTS))
+    def test_sweep_chain_bytes_pinned(self, ddr):
+        rng = make_rng(seed_derivation(0, _grid_key(ddr), 0, "sampler"))
+        tuples = sample_ddr_tuples(10, ddr, 5, rng)
+        assert hashlib.sha256(tuples.tobytes()).hexdigest() == SWEEP_CHAIN_DIGESTS[ddr]
+
+    @pytest.mark.parametrize(
+        "off_slice",
+        [
+            lambda s, total, rng: s + 1e-3,  # drifts off the sum constraint
+            lambda s, total, rng: np.array([0.0, 2.0, 1.0]) * total / 3,  # on the sum, off the box
+        ],
+        ids=["sum-drift", "outside-box"],
+    )
+    def test_off_slice_chain_raises(self, monkeypatch, off_slice):
+        monkeypatch.setattr(sampler, "_step", off_slice)
+        with pytest.raises(SamplerError):
+            sample_ddr_tuples(3, 0.8, 2, make_rng(2), burn_in=1, thinning=1)
