@@ -65,7 +65,7 @@ def load_config_file(path: str) -> Dict[str, str]:
 def cmd_run(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
 
-    def setting(flag, key: str, default, cast=str):
+    def setting(flag, key: str, cast=str, default=None):
         """The flag if given, else the config file's value, else the default."""
         if flag is not None:
             return flag
@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
                 f"{args.config}: {key} = {file_values[key]!r} is not a valid {cast.__name__}"
             ) from None
 
-    task_name = setting(args.task, "task", None)
+    task_name = setting(args.task, "task")
     if task_name is None:
         raise ConfigError("--task is required (regression or classification)")
     if task_name not in TASK_ALIASES:
@@ -86,20 +86,25 @@ def cmd_run(args) -> int:
             f"unknown task {task_name!r}; valid tasks: {', '.join(TASK_ALIASES)}"
         )
     task = TASK_ALIASES[task_name]
-    out_dir = setting(args.out, "out", None)
+    out_dir = setting(args.out, "out")
     if out_dir is None:
         raise ConfigError("--out directory is required")
-    grid_points = setting(args.grid, "grid", 21, int)
+    # Only the values set here are passed; ExperimentConfig holds the defaults.
+    given = {
+        "generator": setting(args.generator, "generator"),
+        "n_samples": setting(args.samples, "samples", int),
+        "n_features": setting(args.features, "features", int),
+        "tuples_per_grid_point": setting(args.replicates, "replicates", int),
+        "master_seed": setting(args.seed, "seed", int),
+    }
+    grid_points = setting(args.grid, "grid", int)
+    if grid_points is not None:
+        given["ddr_grid"] = harness.default_grid(grid_points)
     config = harness.ExperimentConfig(
         task=task,
-        models=harness.resolve_models(task, setting(args.models, "models", "all")),
-        generator=setting(args.generator, "generator", "auto"),
-        n_samples=setting(args.samples, "samples", 1000, int),
-        n_features=setting(args.features, "features", 10, int),
-        ddr_grid=harness.default_grid(grid_points),
-        tuples_per_grid_point=setting(args.replicates, "replicates", 5, int),
-        master_seed=setting(args.seed, "seed", 0, int),
+        models=harness.resolve_models(task, setting(args.models, "models", default="all")),
         out_dir=out_dir,
+        **{name: value for name, value in given.items() if value is not None},
     )
     reports = harness.run_experiment(config)
     incomplete = [r.model for r in reports if not r.complete]
@@ -121,11 +126,13 @@ def read_curve_csv(path: str) -> Dict[str, List[float]]:
         if len(fields) != width:
             raise ConfigError(f"{path}: row {row_no}: expected {width} fields, got {len(fields)}")
         try:
-            curve["ddr"].append(float(fields[0]))
-            curve["train"].append(float(fields[1]))
-            curve["test"].append(float(fields[3]))
+            values = [float(fields[i]) for i in (0, 1, 3)]
         except ValueError as exc:
             raise ConfigError(f"{path}: row {row_no}: {exc}")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path}: row {row_no}: values must be finite, got {line!r}")
+        for name, value in zip(("ddr", "train", "test"), values):
+            curve[name].append(value)
     if len(curve["ddr"]) < 2:
         raise ConfigError(f"{path}: need at least two curve rows")
     return curve
@@ -137,7 +144,16 @@ def _model_from_filename(path: str) -> Optional[str]:
     return kind if kind in MODELS else None
 
 
+def _refuse_overwriting_inputs(outputs, inputs) -> None:
+    """Reject any output path that resolves to an input, before anything is read or written."""
+    sources = {Path(p).resolve() for p in inputs}
+    for out in outputs:
+        if Path(out).resolve() in sources:
+            raise ConfigError(f"{out} is also an input and would be overwritten")
+
+
 def cmd_plot(args) -> int:
+    _refuse_overwriting_inputs([args.out], args.curves)
     series = []
     ylabel = args.ylabel
     for path in args.curves:
@@ -193,6 +209,7 @@ def cmd_summary(args) -> int:
     svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
     if Path(svg_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"the table and the bar chart would both be written to {args.out}")
+    _refuse_overwriting_inputs([args.out, svg_path], args.reports)
     payloads = []
     for path in args.reports:
         payload = read_report_json(path)
@@ -225,11 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--task", choices=sorted(TASK_ALIASES))
     run.add_argument("--models", help="comma-separated model kinds, or 'all'")
     run.add_argument("--generator", help="dataset generator id, or 'auto'")
-    run.add_argument("--samples", type=int, help="samples per dataset (default 1000)")
-    run.add_argument("--features", type=int, help="feature columns (default 10)")
-    run.add_argument("--grid", type=int, help="number of DDR grid points (default 21)")
-    run.add_argument("--replicates", type=int, help="datasets per grid point (default 5)")
-    run.add_argument("--seed", type=int, help="master seed (default 0)")
+    d = harness.ExperimentConfig  # the help texts quote its defaults
+    run.add_argument("--samples", type=int, help=f"samples per dataset (default {d.n_samples})")
+    run.add_argument("--features", type=int, help=f"feature columns (default {d.n_features})")
+    points = len(harness.default_grid())
+    run.add_argument("--grid", type=int, help=f"number of DDR grid points (default {points})")
+    run.add_argument(
+        "--replicates", type=int,
+        help=f"datasets per grid point (default {d.tuples_per_grid_point})",
+    )
+    run.add_argument("--seed", type=int, help=f"master seed (default {d.master_seed})")
     run.add_argument("--out", help="output directory")
     run.add_argument("--config", help="optional key = value config file; flags win")
     run.set_defaults(func=cmd_run)

@@ -11,45 +11,21 @@ seed; no hyperparameter tuning happens anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .datagen import CLASSIFICATION, REGRESSION
+from .datagen import CLASSIFICATION, GENERATOR_TASKS, REGRESSION
 from .errors import DomainError
 from .rng import make_rng
 
 
-def _validate_params(kind: str, params: Mapping[str, object]) -> None:
-    known = set(MODELS[kind].defaults)
-    unknown = set(params) - known
-    if unknown:
-        raise DomainError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
-    positive = {"c", "step", "init_scale"}
-    counts = {"epochs", "iterations", "hidden_units", "k"}
-    for name, value in params.items():
-        if name == "max_depth":
-            if value is not None and (int(value) != value or int(value) < 0):
-                raise DomainError("max_depth must be None or a non-negative integer")
-        elif name == "min_samples_split":
-            if int(value) != value or int(value) < 2:
-                raise DomainError("min_samples_split must be an integer >= 2")
-        elif name == "epsilon":
-            if float(value) < 0.0:
-                raise DomainError("epsilon must be non-negative")
-        elif name in positive and float(value) <= 0.0:
-            raise DomainError(f"{name} must be positive")
-        elif name in counts and (int(value) != value or int(value) < 1):
-            raise DomainError(f"{name} must be a positive integer")
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model kind plus hyperparameter overrides and a training seed."""
+    """Model kind plus a training seed; the hyperparameters are fixed in `MODELS`."""
 
     kind: str
-    params: Mapping[str, object] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,18 +35,6 @@ class ModelSpec:
                 f"unknown model kind {self.kind!r}; valid kinds: {', '.join(MODEL_KINDS)}"
             )
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", dict(self.params))
-        _validate_params(kind, self.params)
-
-    @property
-    def task(self) -> str:
-        return MODELS[self.kind].task
-
-    @property
-    def hyperparameters(self) -> Dict[str, object]:
-        merged = dict(MODELS[self.kind].defaults)
-        merged.update(self.params)
-        return merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +42,6 @@ class TrainedModel:
     """A fitted learner; the learned parameters are opaque to callers."""
 
     spec: ModelSpec
-    task: str
     n_features: int
     impl: object
 
@@ -500,49 +463,28 @@ class MlpClassifier:
 
 
 class ModelEntry(NamedTuple):
-    """One learner: its task, the generator it is swept on, its defaults, its builder."""
+    """One learner: the generator it is swept on and how its unfitted instance is built."""
 
-    task: str
     generator: str
-    defaults: Mapping[str, object]
-    build: Callable[..., object]  # build(seed=..., **hyperparameters) -> unfitted learner
+    build: Callable[[int], object]  # build(seed) -> learner with the fixed hyperparameters
+
+    @property
+    def task(self) -> str:
+        return GENERATOR_TASKS[self.generator]
 
 
-def _unseeded(cls, **fixed):
-    return lambda seed, **hp: cls(**fixed, **hp)
-
-
-_TREE = {"max_depth": 10, "min_samples_split": 80}
-_LINEAR_SVM = {"c": 1.0, "epochs": 200, "step": 1e-3}
-
-# The one model table; its order is the order of `--models all`.
+# The one model table; its order is the order of `--models all`.  Every
+# hyperparameter is a literal here: no sweep tunes one.
 MODELS: Dict[str, ModelEntry] = {
-    "olsr": ModelEntry(REGRESSION, "linear", {}, _unseeded(OlsRegressor)),
-    "dtr": ModelEntry(
-        REGRESSION, "friedman1", _TREE, _unseeded(CartTree, classification=False)
-    ),
-    "knnr": ModelEntry(
-        REGRESSION, "friedman1", {"k": 5}, _unseeded(KnnModel, classification=False)
-    ),
-    "lsvr": ModelEntry(
-        REGRESSION, "linear", {"epsilon": 0.1, **_LINEAR_SVM}, _unseeded(LinearSvr)
-    ),
-    "blrc": ModelEntry(
-        CLASSIFICATION, "two_class", {"iterations": 500, "step": 0.1},
-        _unseeded(LogisticClassifier),
-    ),
-    "dtc": ModelEntry(
-        CLASSIFICATION, "two_class", _TREE, _unseeded(CartTree, classification=True)
-    ),
-    "knnc": ModelEntry(
-        CLASSIFICATION, "two_class", {"k": 5}, _unseeded(KnnModel, classification=True)
-    ),
-    "lsvc": ModelEntry(CLASSIFICATION, "two_class", _LINEAR_SVM, _unseeded(LinearSvc)),
-    "mlpc": ModelEntry(
-        CLASSIFICATION, "two_class",
-        {"hidden_units": 32, "epochs": 300, "step": 0.05, "init_scale": 0.5},
-        MlpClassifier,
-    ),
+    "olsr": ModelEntry("linear", lambda seed: OlsRegressor()),
+    "dtr": ModelEntry("friedman1", lambda seed: CartTree(10, 80, classification=False)),
+    "knnr": ModelEntry("friedman1", lambda seed: KnnModel(5, classification=False)),
+    "lsvr": ModelEntry("linear", lambda seed: LinearSvr(0.1, c=1.0, epochs=200, step=1e-3)),
+    "blrc": ModelEntry("two_class", lambda seed: LogisticClassifier(500, step=0.1)),
+    "dtc": ModelEntry("two_class", lambda seed: CartTree(10, 80, classification=True)),
+    "knnc": ModelEntry("two_class", lambda seed: KnnModel(5, classification=True)),
+    "lsvc": ModelEntry("two_class", lambda seed: LinearSvc(c=1.0, epochs=200, step=1e-3)),
+    "mlpc": ModelEntry("two_class", lambda seed: MlpClassifier(32, 300, 0.05, 0.5, seed)),
 }
 MODEL_KINDS: Tuple[str, ...] = tuple(MODELS)
 REGRESSION_KINDS: Tuple[str, ...] = tuple(k for k, m in MODELS.items() if m.task == REGRESSION)
@@ -568,11 +510,11 @@ def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedMo
         raise DomainError("targets must be one value per feature row")
     if not np.all(np.isfinite(y)):
         raise DomainError("targets must all be finite")
-    task = spec.task
-    if task == CLASSIFICATION and not set(np.unique(y)) <= {0.0, 1.0}:
+    entry = MODELS[spec.kind]
+    if entry.task == CLASSIFICATION and not set(np.unique(y)) <= {0.0, 1.0}:
         raise DomainError("classification targets must be 0/1 labels")
-    impl = MODELS[spec.kind].build(seed=spec.seed, **spec.hyperparameters).fit(X, y)
-    return TrainedModel(spec=spec, task=task, n_features=X.shape[1], impl=impl)
+    impl = entry.build(spec.seed).fit(X, y)
+    return TrainedModel(spec=spec, n_features=X.shape[1], impl=impl)
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:

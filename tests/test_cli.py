@@ -181,6 +181,21 @@ class TestPlot:
         assert code == 1
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row", ["nan,0.2,0.0,0.2,0.0,1", "0.5,inf,0.0,0.2,0.0,1", "0.5,0.2,0.0,-inf,0.0,1"]
+    )
+    def test_non_finite_csv_value_rejected(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad_curve.csv"
+        bad.write_text(
+            "ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates\n"
+            f"0.0,0.1,0.0,0.1,0.0,1\n{row}\n1.0,0.3,0.0,0.3,0.0,1\n"
+        )
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--curves", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: row 3: values must be finite")
+        assert not out.exists()
+
     def test_non_utf8_curve_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "olsr_curve.csv"
         bad.write_bytes(b"\xff")
@@ -273,3 +288,35 @@ class TestSummary:
             main(["summary", "--reports", *reports, "--out", str(tmp_path / f"{name}.csv")])
         assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
         assert (tmp_path / "s1.svg").read_bytes() == (tmp_path / "s2.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["plot", "--curves", "olsr_curve.csv", "--out", "olsr_curve.csv"],
+        ["plot", "--curves", "olsr_curve.csv", "--out", "./olsr_curve.csv"],
+        ["summary", "--reports", "olsr_report.json", "--out", "olsr_report.json"],
+        ["summary", "--reports", "olsr_report.json", "--out", "t.csv", "--svg", "olsr_report.json"],
+    ],
+    ids=["plot-out", "plot-out-other-spelling", "summary-out", "summary-svg"],
+)
+def test_output_over_input_exit_one(tmp_path, monkeypatch, capsys, args):
+    assert run_small(tmp_path) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert "is also an input and would be overwritten" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_run_defaults_come_from_the_config(tmp_path, monkeypatch):
+    from ddrbench import harness
+    from ddrbench.datagen import REGRESSION
+
+    seen = []
+    monkeypatch.setattr(harness, "run_experiment", lambda config: seen.append(config) or [])
+    assert main(["run", "--task", "regression", "--out", str(tmp_path)]) == 0
+    expected = harness.ExperimentConfig(
+        task=REGRESSION, models=harness.REGRESSION_KINDS, out_dir=str(tmp_path)
+    )
+    assert seen == [expected]

@@ -12,8 +12,14 @@ from ddrbench.models import (
     MODEL_KINDS,
     MODELS,
     REGRESSION_KINDS,
+    CartTree,
+    KnnModel,
+    LinearSvc,
+    LinearSvr,
+    LogisticClassifier,
     MlpClassifier,
     ModelSpec,
+    OlsRegressor,
     _sigmoid,
     fit,
     predict,
@@ -29,20 +35,32 @@ class TestModelSpec:
         with pytest.raises(DomainError):
             ModelSpec("boost")
 
-    def test_unknown_param_rejected(self):
-        with pytest.raises(DomainError):
-            ModelSpec("knnr", {"neighbors": 3})
 
-    def test_param_ranges(self):
-        with pytest.raises(DomainError):
-            ModelSpec("knnr", {"k": 0})
-        with pytest.raises(DomainError):
-            ModelSpec("blrc", {"step": -0.1})
+# Hyperparameters of the trainers compared against reference loops below.
+MLPC = dict(hidden_units=32, epochs=300, step=0.05, init_scale=0.5)
+BLRC = dict(iterations=500, step=0.1)
 
-    def test_defaults_merged(self):
-        spec = ModelSpec("dtc", {"max_depth": 4})
-        assert spec.hyperparameters["max_depth"] == 4
-        assert spec.hyperparameters["min_samples_split"] == 80
+# Every learner's fixed hyperparameters, as `MODELS[kind].build(41)` sets them.
+PINNED = {
+    "olsr": (OlsRegressor, {}),
+    "dtr": (CartTree, dict(max_depth=10, min_samples_split=80, classification=False)),
+    "knnr": (KnnModel, dict(k=5, classification=False)),
+    "lsvr": (LinearSvr, dict(epsilon=0.1, c=1.0, epochs=200, step=1e-3)),
+    "blrc": (LogisticClassifier, BLRC),
+    "dtc": (CartTree, dict(max_depth=10, min_samples_split=80, classification=True)),
+    "knnc": (KnnModel, dict(k=5, classification=True)),
+    "lsvc": (LinearSvc, dict(c=1.0, epochs=200, step=1e-3)),
+    "mlpc": (MlpClassifier, dict(MLPC, seed=41)),
+}
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_fixed_hyperparameters(self, kind):
+        cls, expected = PINNED[kind]
+        learner = MODELS[kind].build(41)
+        assert type(learner) is cls
+        assert vars(learner) == expected
 
 
 class TestContracts:
@@ -88,22 +106,20 @@ class TestCart:
     def test_single_leaf_predicts_mean(self):
         X = make_rng(3).standard_normal((20, 3))
         y = make_rng(4).standard_normal(20)
-        model = fit(ModelSpec("dtr", {"max_depth": 0}), X, y)
-        assert np.allclose(predict(model, X), np.mean(y))
+        model = CartTree(0, 80, classification=False).fit(X, y)
+        assert np.allclose(model.predict(X), np.mean(y))
 
     def test_fully_grown_purifies(self):
         X = make_rng(5).standard_normal((100, 4))
         y = (make_rng(6).uniform(size=100) > 0.5).astype(float)
-        model = fit(
-            ModelSpec("dtc", {"max_depth": None, "min_samples_split": 2}), X, y
-        )
-        assert f1_score(y, predict(model, X)) == 1.0
+        model = CartTree(None, 2, classification=True).fit(X, y)
+        assert f1_score(y, model.predict(X)) == 1.0
 
     def test_regression_split_reduces_error(self):
         X = np.linspace(0, 1, 50).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(float) * 10.0
-        model = fit(ModelSpec("dtr", {"max_depth": 1, "min_samples_split": 2}), X, y)
-        assert nmse_accuracy(y, predict(model, X)) == pytest.approx(1.0, abs=1e-12)
+        model = CartTree(1, 2, classification=False).fit(X, y)
+        assert nmse_accuracy(y, model.predict(X)) == pytest.approx(1.0, abs=1e-12)
 
     def test_leaf_majority_tie_is_class_one(self):
         X = np.zeros((4, 1))  # unsplittable: constant feature
@@ -116,8 +132,8 @@ class TestKnn:
     def test_k1_memorizes_training_data(self):
         X = make_rng(7).standard_normal((30, 3))
         y = make_rng(8).standard_normal(30)
-        model = fit(ModelSpec("knnr", {"k": 1}), X, y)
-        assert np.array_equal(predict(model, X), y)
+        model = KnnModel(1, classification=False).fit(X, y)
+        assert np.array_equal(model.predict(X), y)
 
     def test_row_permutation_invariance(self):
         X = make_rng(9).standard_normal((60, 2))
@@ -132,18 +148,18 @@ class TestKnn:
         # Duplicate training rows with different targets: the earlier row wins.
         X = np.array([[0.0], [0.0], [5.0]])
         y = np.array([1.0, 2.0, 3.0])
-        model = fit(ModelSpec("knnr", {"k": 1}), X, y)
-        assert predict(model, np.array([[0.0]]))[0] == 1.0
+        model = KnnModel(1, classification=False).fit(X, y)
+        assert model.predict(np.array([[0.0]]))[0] == 1.0
 
     def test_vote_tie_prefers_class_one(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        model = fit(ModelSpec("knnc", {"k": 4}), X, y)
-        assert predict(model, np.array([[1.5]]))[0] == 1.0
+        model = KnnModel(4, classification=True).fit(X, y)
+        assert model.predict(np.array([[1.5]]))[0] == 1.0
 
     def test_k_larger_than_train_rejected(self):
         with pytest.raises(DomainError):
-            fit(ModelSpec("knnr", {"k": 10}), np.zeros((5, 1)), np.zeros(5))
+            KnnModel(10, classification=False).fit(np.zeros((5, 1)), np.zeros(5))
 
     @staticmethod
     def full_sort_predict(kind, k, X, y, Z):
@@ -167,10 +183,10 @@ class TestKnn:
         y = rng.standard_normal(300)
         if kind == "knnc":
             y = (y > 0.0).astype(np.float64)
-        model = fit(ModelSpec(kind, {"k": k}), X[:200], y[:200])
+        model = KnnModel(k, classification=kind == "knnc").fit(X[:200], y[:200])
         for Z in (X[:200], X[200:]):
             expected = self.full_sort_predict(kind, k, X[:200], y[:200], Z)
-            assert predict(model, Z).tobytes() == expected.tobytes()
+            assert model.predict(Z).tobytes() == expected.tobytes()
 
     def test_exact_and_tied_rows_in_one_call(self, monkeypatch):
         # Lattice queries among lattice training rows tie at the 5th distance;
@@ -180,7 +196,7 @@ class TestKnn:
         y = rng.standard_normal(200)
         Z = np.vstack([X[:50], rng.standard_normal((50, 3))])
         expected = self.full_sort_predict("knnr", 5, X, y, Z)
-        model = fit(ModelSpec("knnr", {"k": 5}), X, y)
+        model = KnnModel(5, classification=False).fit(X, y)
         sorted_rows = {5: 0, 200: 0}
         argsort = np.argsort
 
@@ -189,7 +205,7 @@ class TestKnn:
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", counting_argsort)
-        got = predict(model, Z)
+        got = model.predict(Z)
         monkeypatch.undo()
         assert got.tobytes() == expected.tobytes()
         assert sorted_rows[5] > 0 and sorted_rows[200] > 0
@@ -225,9 +241,9 @@ class TestLinearSubgradient:
         assert f1_score(data.targets, predict(model, data.features)) >= 0.99
 
     def test_blrc_zero_weights_tie_break(self):
-        model = fit(ModelSpec("blrc", {"iterations": 1, "step": 0.0001}), np.zeros((6, 2)), np.array([0.0, 1.0] * 3))
+        model = LogisticClassifier(1, step=0.0001).fit(np.zeros((6, 2)), np.array([0.0, 1.0] * 3))
         # constant zero features keep weights at zero: probability 0.5 -> class 1
-        assert np.all(predict(model, np.zeros((4, 2))) == 1.0)
+        assert np.all(model.predict(np.zeros((4, 2))) == 1.0)
 
 
 class TestNoiselessAccuracyFloor:
@@ -338,17 +354,20 @@ def reference_blrc_fit(X, y, iterations, step):
 
 
 def trainer_case(case):
-    """(X, y, mlpc overrides, blrc overrides) for one reference-loop case."""
+    """(X, y, mlpc hyperparameters, blrc hyperparameters) for one reference-loop case."""
     if case.startswith("two_class-"):
         n, d = (int(v) for v in case.split("-")[1].split("x"))
         data = gen_two_class(n, d, make_rng(n + d))
-        return data.features, data.targets, {}, {}
+        return data.features, data.targets, MLPC, BLRC
     if case == "one-unit-one-epoch-one-feature":
         data = gen_two_class(120, 1, make_rng(31))
-        return data.features, data.targets, {"hidden_units": 1, "epochs": 1}, {"iterations": 1}
+        return (
+            data.features, data.targets,
+            dict(MLPC, hidden_units=1, epochs=1), dict(BLRC, iterations=1),
+        )
     if case == "saturated":
         data = gen_two_class(200, 4, make_rng(32))
-        return 50.0 * data.features, data.targets, {}, {}
+        return 50.0 * data.features, data.targets, MLPC, BLRC
     raise ValueError(case)
 
 
@@ -366,10 +385,9 @@ class TestTrainerReferenceLoops:
 
     @pytest.mark.parametrize("case", TRAINER_CASES)
     def test_mlpc_matches_reference(self, case):
-        X, y, overrides, _ = trainer_case(case)
-        hp = {**MODELS["mlpc"].defaults, **overrides}
+        X, y, hp, _ = trainer_case(case)
         params, history = reference_mlp_fit(X, y, seed=33, **hp)
-        model = fit(ModelSpec("mlpc", overrides, seed=33), X, y).impl
+        model = MlpClassifier(seed=33, **hp).fit(X, y)
         assert len(model.loss_history) == hp["epochs"] + 1
         assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
         for name, value in params.items():
@@ -379,10 +397,9 @@ class TestTrainerReferenceLoops:
 
     @pytest.mark.parametrize("case", TRAINER_CASES)
     def test_blrc_matches_reference(self, case):
-        X, y, _, overrides = trainer_case(case)
-        hp = {**MODELS["blrc"].defaults, **overrides}
+        X, y, _, hp = trainer_case(case)
         w, b = reference_blrc_fit(X, y, **hp)
-        model = fit(ModelSpec("blrc", overrides), X, y).impl
+        model = LogisticClassifier(**hp).fit(X, y)
         assert model.weights.tobytes() == w.tobytes()
         assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
         if case == "saturated":
