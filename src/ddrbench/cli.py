@@ -115,7 +115,12 @@ def cmd_run(args) -> int:
 
 
 def read_curve_csv(path: str) -> Dict[str, List[float]]:
-    """Parse a curve CSV; malformed rows are reported with their row number."""
+    """Parse a curve CSV into its ddr, train-mean and test-mean series.
+
+    Every field is checked: the five numbers must be finite, the two standard
+    deviations non-negative and ``replicates`` a positive integer.  A
+    malformed row is reported with its row number.
+    """
     lines = _read_utf8(path).splitlines()
     if not lines or lines[0] != harness.CURVE_CSV_HEADER:
         raise ConfigError(f"{path}: row 1: bad or missing curve header")
@@ -126,12 +131,17 @@ def read_curve_csv(path: str) -> Dict[str, List[float]]:
         if len(fields) != width:
             raise ConfigError(f"{path}: row {row_no}: expected {width} fields, got {len(fields)}")
         try:
-            values = [float(fields[i]) for i in (0, 1, 3)]
+            ddr, train, train_std, test, test_std = map(float, fields[:5])
+            replicates = int(fields[5])
         except ValueError as exc:
             raise ConfigError(f"{path}: row {row_no}: {exc}")
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, (ddr, train, train_std, test, test_std))):
             raise ConfigError(f"{path}: row {row_no}: values must be finite, got {line!r}")
-        for name, value in zip(("ddr", "train", "test"), values):
+        if train_std < 0.0 or test_std < 0.0:
+            raise ConfigError(f"{path}: row {row_no}: std must be >= 0, got {line!r}")
+        if replicates < 1:
+            raise ConfigError(f"{path}: row {row_no}: replicates must be positive, got {line!r}")
+        for name, value in zip(("ddr", "train", "test"), (ddr, train, test)):
             curve[name].append(value)
     if len(curve["ddr"]) < 2:
         raise ConfigError(f"{path}: need at least two curve rows")

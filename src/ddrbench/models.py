@@ -182,6 +182,10 @@ class CartTree:
         return out
 
 
+# Query rows per kNN distance block: 256 x 3200 training rows is 6.5 MB.
+_BLOCK_ROWS = 256
+
+
 class KnnModel:
     """Brute-force k-nearest neighbors with Euclidean distance.
 
@@ -195,6 +199,16 @@ class KnnModel:
     A row with more (a tie at the k-th distance) takes the full stable
     argsort instead.  The votes reach the mean in the same order either way,
     so predictions are bit-identical to the full sort.
+
+    ``predict`` works through the queries in near-equal blocks of at most
+    ``_BLOCK_ROWS`` rows, so it holds a few (block x training rows) matrices
+    at a time, never one (queries x training rows) matrix.  Each block's
+    distances match the one-shot product bit for bit as long as the block
+    has more than one row: BLAS computes a one-row product as a
+    matrix-vector product, which rounds differently.  ``np.array_split``
+    keeps every block within one row of the others, so a block has one row
+    only when the whole query does, and then the one-shot product is that
+    same matrix-vector product.
     """
 
     def __init__(self, k: int, classification: bool):
@@ -214,17 +228,38 @@ class KnnModel:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        d2 = np.sum(np.square(X), axis=1, keepdims=True) - 2.0 * (X @ self.X.T) + self._sq
-        votes = self.y[self._nearest(d2)]
+        blocks = np.array_split(X, -(-X.shape[0] // _BLOCK_ROWS))
+        # One set of block buffers serves every block.  Freed between blocks,
+        # fresh ones went back to the OS and were faulted in again each time,
+        # which at 800 training rows cost more than the blocks saved.
+        shape = (blocks[0].shape[0], self.X.shape[0])
+        d2, part, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        nearest = np.concatenate(
+            [self._nearest(b, d2[: len(b)], part[: len(b)], mask[: len(b)]) for b in blocks]
+        )
+        votes = self.y[nearest]
         if self.classification:
             return (2.0 * np.sum(votes, axis=1) >= self.k).astype(np.float64)
         return np.mean(votes, axis=1)
 
-    def _nearest(self, d2: np.ndarray) -> np.ndarray:
+    def _nearest(
+        self, X: np.ndarray, d2: np.ndarray, part: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        """Indices of the k nearest training rows to each row of X, nearest first.
+
+        ``d2``, ``part`` and ``candidates`` are (rows of X x training rows)
+        buffers that this call overwrites.
+        """
         k = self.k
-        # A copied column, so the partitioned matrix is freed before the mask is built.
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-        candidates = d2 <= kth[:, None]
+        # sum(X^2) - 2.0 * (X @ self.X.T) + self._sq, the same operations in
+        # the same order, written in place.
+        np.matmul(X, self.X.T, out=d2)
+        d2 *= 2.0
+        np.subtract(np.sum(np.square(X), axis=1, keepdims=True), d2, out=d2)
+        d2 += self._sq
+        np.copyto(part, d2)
+        part.partition(k - 1, axis=1)
+        np.less_equal(d2, part[:, k - 1 : k], out=candidates)
         exact = np.count_nonzero(candidates, axis=1) == k
         tied = np.flatnonzero(~exact)
         candidates[tied] = False
@@ -233,11 +268,7 @@ class KnnModel:
         order = np.argsort(d2[rows, cols], axis=1, kind="stable")
         nearest = np.empty((d2.shape[0], k), dtype=np.intp)
         nearest[rows[:, 0]] = np.take_along_axis(cols, order, axis=1)
-        # Tied rows are sorted a block at a time, so a matrix where most rows
-        # tie never holds a full copy of d2 and its argsort beside d2 itself.
-        for start in range(0, tied.size, 256):
-            block = tied[start : start + 256]
-            nearest[block] = np.argsort(d2[block], axis=1, kind="stable")[:, :k]
+        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         return nearest
 
 

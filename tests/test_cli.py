@@ -196,6 +196,31 @@ class TestPlot:
         assert err.startswith(f"error: {bad}: row 3: values must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("0.5,0.1,oops,0.1,0.0,1", "could not convert"),
+            ("0.5,0.1,0.0,0.1,nan,1", "values must be finite"),
+            ("0.5,0.1,inf,0.1,0.0,1", "values must be finite"),
+            ("0.5,0.1,-0.1,0.1,0.0,1", "std must be >= 0"),
+            ("0.5,0.1,0.0,0.1,0.0,x", "invalid literal"),
+            ("0.5,0.1,0.0,0.1,0.0,2.5", "invalid literal"),
+            ("0.5,0.1,0.0,0.1,0.0,0", "replicates must be positive"),
+            ("0.5,0.1,0.0,0.1,0.0,-3", "replicates must be positive"),
+        ],
+    )
+    def test_bad_std_or_replicates_rejected(self, tmp_path, capsys, row, reason):
+        bad = tmp_path / "bad_curve.csv"
+        bad.write_text(
+            "ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates\n"
+            f"0.0,0.1,0.0,0.1,0.0,1\n{row}\n1.0,0.3,0.0,0.3,0.0,1\n"
+        )
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--curves", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: row 3: ") and reason in err
+        assert not out.exists()
+
     def test_non_utf8_curve_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "olsr_curve.csv"
         bad.write_bytes(b"\xff")

@@ -20,6 +20,7 @@ from ddrbench.models import (
     MlpClassifier,
     ModelSpec,
     OlsRegressor,
+    _BLOCK_ROWS,
     _sigmoid,
     fit,
     predict,
@@ -227,6 +228,51 @@ class TestKnn:
             tracemalloc.stop()
         # The distance matrix and one temporary of its size while it is built.
         assert peak <= 2.05 * Z.shape[0] * 2000 * 8
+
+    @pytest.mark.parametrize("n_train", [5, 800, 3200])
+    @pytest.mark.parametrize(
+        "n_query", [1] + [m * _BLOCK_ROWS + r for m in (1, 2) for r in (-1, 0, 1, 2)]
+    )
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_row_blocks_match_one_shot(self, n_train, n_query, decimals):
+        # The bit rule predict relies on: near-equal row blocks of the query
+        # times the training matrix give the one-shot product's bits.  This is
+        # a property of the BLAS numpy links, which this test pins.  Rounded
+        # to one decimal, many distances tie in exact arithmetic and their
+        # order rests on the low bits, so a block that rounds differently (a
+        # one-row block, say) changes the predictions too.
+        rng = make_rng(24)
+        X, Z = rng.standard_normal((n_train, 10)), rng.standard_normal((n_query, 10))
+        if decimals is not None:
+            X, Z = np.round(X, decimals), np.round(Z, decimals)
+        blocks = np.array_split(Z, -(-n_query // _BLOCK_ROWS))
+        assert max(map(len, blocks)) <= _BLOCK_ROWS
+        assert np.concatenate([b @ X.T for b in blocks]).tobytes() == (Z @ X.T).tobytes()
+        y = rng.standard_normal(n_train)
+        labels = (y > 0.0).astype(np.float64)
+        k1 = KnnModel(1, classification=False).fit(X, y)
+        assert k1.predict(Z).tobytes() == self.full_sort_predict("knnr", 1, X, y, Z).tobytes()
+        # knnr and knnc use k = 5, which equals the training size at n_train = 5.
+        for kind, target in (("knnr", y), ("knnc", labels)):
+            expected = self.full_sort_predict(kind, 5, X, target, Z)
+            assert predict(fit(ModelSpec(kind), X, target), Z).tobytes() == expected.tobytes()
+
+    def test_predict_peak_memory_is_a_few_blocks(self):
+        # 3200 queries against 3200 training rows: a one-shot distance matrix
+        # alone would be 82 MB.  Blocked, predict holds one block's distances,
+        # their partitioned copy and candidate mask, plus the (queries x k)
+        # neighbour and vote arrays.
+        rng = make_rng(26)
+        X, Z = rng.standard_normal((3200, 10)), rng.standard_normal((3200, 10))
+        model = fit(ModelSpec("knnr"), X, rng.standard_normal(3200))
+        tracemalloc.start()
+        try:
+            predict(model, Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = 4 * 3200 * 5 * 8
+        assert peak <= 3 * _BLOCK_ROWS * 3200 * 8 + outputs
 
 
 class TestLinearSubgradient:
