@@ -117,9 +117,10 @@ def cmd_run(args) -> int:
 def read_curve_csv(path: str) -> Dict[str, List[float]]:
     """Parse a curve CSV into its ddr, train-mean and test-mean series.
 
-    Every field is checked: the five numbers must be finite, the two standard
-    deviations non-negative and ``replicates`` a positive integer.  A
-    malformed row is reported with its row number.
+    Every field is checked: the five numbers must be finite, the DDRs must
+    lie in [0, 1] and rise strictly, the two means lie in [0, 1], the two
+    standard deviations be non-negative and ``replicates`` a positive
+    integer.  A malformed row is reported with its row number.
     """
     lines = _read_utf8(path).splitlines()
     if not lines or lines[0] != harness.CURVE_CSV_HEADER:
@@ -137,6 +138,12 @@ def read_curve_csv(path: str) -> Dict[str, List[float]]:
             raise ConfigError(f"{path}: row {row_no}: {exc}")
         if not all(map(math.isfinite, (ddr, train, train_std, test, test_std))):
             raise ConfigError(f"{path}: row {row_no}: values must be finite, got {line!r}")
+        if not 0.0 <= ddr <= 1.0:
+            raise ConfigError(f"{path}: row {row_no}: ddr must lie in [0, 1], got {line!r}")
+        if curve["ddr"] and ddr <= curve["ddr"][-1]:
+            raise ConfigError(f"{path}: row {row_no}: ddrs must rise strictly, got {line!r}")
+        if not (0.0 <= train <= 1.0 and 0.0 <= test <= 1.0):
+            raise ConfigError(f"{path}: row {row_no}: means must lie in [0, 1], got {line!r}")
         if train_std < 0.0 or test_std < 0.0:
             raise ConfigError(f"{path}: row {row_no}: std must be >= 0, got {line!r}")
         if replicates < 1:
@@ -186,7 +193,7 @@ def cmd_plot(args) -> int:
 def read_report_json(path: str) -> dict:
     """Load a report payload, rejecting any that `summary` cannot tabulate.
 
-    A complete report carries numeric AUCs; an incomplete one carries null
+    A complete report carries AUCs in [0, 1]; an incomplete one carries null
     for both.
     """
     try:
@@ -208,8 +215,8 @@ def read_report_json(path: str) -> dict:
     for name in ("auc_train", "auc_test"):
         value = payload[name]
         numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not numeric or not math.isfinite(value):
-            raise ConfigError(f"{path}: field {name!r} must be a finite number, got {value!r}")
+        if not numeric or not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{path}: field {name!r} must be a number in [0, 1], got {value!r}")
     return payload
 
 

@@ -182,8 +182,9 @@ class CartTree:
         return out
 
 
-# Query rows per kNN distance block: 256 x 3200 training rows is 6.5 MB.
-_BLOCK_ROWS = 256
+# Query rows per kNN distance block: 64 x 3200 training rows is 1.6 MB, so
+# a block's distances stay in a 2 MB per-core L2 cache between its passes.
+_BLOCK_ROWS = 64
 
 
 class KnnModel:
@@ -218,11 +219,14 @@ class KnnModel:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnModel":
         if self.k > X.shape[0]:
             raise DomainError(f"k={self.k} exceeds the {X.shape[0]} training samples")
-        # A private copy: predicting on the very array passed here would make
-        # X @ self.X.T one buffer times its own transpose, which numpy hands to
-        # BLAS syrk; on 3200 rows and one OpenBLAS thread that ran 2.4x slower
-        # than the gemm that two distinct buffers get.
-        self.X = X.copy()
+        # -2 X, kept in place of the training rows: away from overflow and
+        # subnormals, scaling by a power of two is exact, so Z @ (-2 X).T has
+        # the bits of -2.0 * (Z @ X.T) and saves a pass over each distance
+        # block.  Being a private buffer, it also keeps predict on the very
+        # array passed here off BLAS syrk (one buffer times its own
+        # transpose), which on 3200 rows and one OpenBLAS thread ran 2.4x
+        # slower than the gemm two buffers get.
+        self._xm2 = -2.0 * X
         self.y = y
         self._sq = np.sum(np.square(X), axis=1)
         return self
@@ -232,7 +236,7 @@ class KnnModel:
         # One set of block buffers serves every block.  Freed between blocks,
         # fresh ones went back to the OS and were faulted in again each time,
         # which at 800 training rows cost more than the blocks saved.
-        shape = (blocks[0].shape[0], self.X.shape[0])
+        shape = (blocks[0].shape[0], self._xm2.shape[0])
         d2, part, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
         nearest = np.concatenate(
             [self._nearest(b, d2[: len(b)], part[: len(b)], mask[: len(b)]) for b in blocks]
@@ -251,11 +255,11 @@ class KnnModel:
         buffers that this call overwrites.
         """
         k = self.k
-        # sum(X^2) - 2.0 * (X @ self.X.T) + self._sq, the same operations in
-        # the same order, written in place.
-        np.matmul(X, self.X.T, out=d2)
-        d2 *= 2.0
-        np.subtract(np.sum(np.square(X), axis=1, keepdims=True), d2, out=d2)
+        # sum(X^2) - 2.0 * (X @ train.T) + self._sq, bit for bit: the product
+        # with -2 train is exactly -2.0 times the product, and a - b is
+        # (-b) + a in IEEE arithmetic.
+        np.matmul(X, self._xm2.T, out=d2)
+        d2 += np.sum(np.square(X), axis=1, keepdims=True)
         d2 += self._sq
         np.copyto(part, d2)
         part.partition(k - 1, axis=1)
@@ -263,7 +267,8 @@ class KnnModel:
         exact = np.count_nonzero(candidates, axis=1) == k
         tied = np.flatnonzero(~exact)
         candidates[tied] = False
-        rows, cols = np.nonzero(candidates)  # row-major: each row's k in index order
+        # Row-major: each row's k in index order.
+        rows, cols = np.divmod(np.flatnonzero(candidates), candidates.shape[1])
         rows, cols = rows.reshape(-1, k), cols.reshape(-1, k)
         order = np.argsort(d2[rows, cols], axis=1, kind="stable")
         nearest = np.empty((d2.shape[0], k), dtype=np.intp)

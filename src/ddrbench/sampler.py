@@ -26,33 +26,53 @@ def _direction(n: int, rng: RandomSource) -> np.ndarray:
     """A random unit direction whose components sum to zero, so steps stay on the slice."""
     for _ in range(_MAX_DIRECTION_RETRIES):
         d = rng.standard_normal(n)
-        d -= d.mean()
-        norm = float(np.linalg.norm(d))
+        # The same bits as d.mean() and np.linalg.norm(d), without their overhead.
+        d -= d.sum() / n
+        norm = math.sqrt(d.dot(d))
         if norm > 1e-12:
             return d / norm
     raise SamplerError("could not draw a usable in-slice direction")
 
 
 def _step(s: np.ndarray, total: float, rng: RandomSource) -> np.ndarray:
-    """One hit-and-run step: a uniform point on the chord along a random direction."""
+    """One hit-and-run step: a uniform point on the chord along a random direction.
+
+    The coordinate arithmetic runs on Python floats: on a few dozen
+    coordinates that is cheaper than the numpy calls it replaces, and each
+    operation rounds as its numpy counterpart did, so the chain's bits are
+    unchanged.  Only the sum of the clipped point stays a numpy reduction,
+    whose pairwise order a Python loop would not reproduce.
+    """
+    coords = s.tolist()
     for _ in range(_MAX_DIRECTION_RETRIES):
-        d = _direction(s.size, rng)
+        d = _direction(s.size, rng).tolist()
         # The chord is the lambda interval of {s + lam * d} inside every box face.
-        moving = np.abs(d) > 1e-16
-        a = (0.0 - s[moving]) / d[moving]
-        b = (1.0 - s[moving]) / d[moving]
-        lo = float(np.max(np.minimum(a, b), initial=-math.inf))
-        hi = float(np.min(np.maximum(a, b), initial=math.inf))
+        lo, hi = -math.inf, math.inf
+        for si, di in zip(coords, d):
+            if abs(di) > 1e-16:
+                a = (0.0 - si) / di
+                b = (1.0 - si) / di
+                if a > b:
+                    a, b = b, a
+                if a > lo:
+                    lo = a
+                if b < hi:
+                    hi = b
         if not math.isfinite(lo) or not math.isfinite(hi):
             raise SamplerError("direction is parallel to every box face")
         if hi - lo > _MIN_CHORD:
             lam = rng.uniform(lo, hi)
             # Clip into the box, then spread the (tiny) sum error evenly so the
             # slice equation keeps holding to machine precision.
-            x = np.clip(s + lam * d, 0.0, 1.0)
-            x = x + (total - float(np.sum(x))) / s.size
-            return np.clip(x, 0.0, 1.0)
+            x = [_clip(si + lam * di) for si, di in zip(coords, d)]
+            shift = (total - float(np.array(x).sum())) / s.size
+            return np.array([_clip(xi + shift) for xi in x])
     raise SamplerError("no chord of positive length after bounded retries")
+
+
+def _clip(v: float) -> float:
+    """np.clip(v, 0.0, 1.0) on one float."""
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
 def sample_ddr_tuples(

@@ -221,6 +221,33 @@ class TestPlot:
         assert err.startswith(f"error: {bad}: row 3: ") and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows,bad_row,reason",
+        [
+            (["0.0,5e300,0,-7,0,1", "1.0,0.2,0,0.2,0,1"], 2, "means must lie in [0, 1]"),
+            (["0.0,0.1,0,0.1,0,1", "0.5,0.2,0,1.5,0,1", "1.0,0.3,0,0.3,0,1"], 3, "means"),
+            (["0.0,0.1,0,0.1,0,1", "0.5,-0.2,0,0.2,0,1", "1.0,0.3,0,0.3,0,1"], 3, "means"),
+            (["0.0,0.1,0,0.1,0,1", "0.5,0.2,0,0.2,0,1", "0.5,0.3,0,0.3,0,1"], 4, "rise strictly"),
+            (["0.0,0.1,0,0.1,0,1", "0.6,0.2,0,0.2,0,1", "0.5,0.3,0,0.3,0,1"], 4, "rise strictly"),
+            (["-0.1,0.1,0,0.1,0,1", "1.0,0.3,0,0.3,0,1"], 2, "ddr must lie in [0, 1]"),
+            (["0.0,0.1,0,0.1,0,1", "1.5,0.3,0,0.3,0,1"], 3, "ddr must lie in [0, 1]"),
+        ],
+        ids=["huge-train-mean", "test-mean-above-one", "negative-train-mean", "repeated-ddr",
+             "falling-ddr", "ddr-below-zero", "ddr-above-one"],
+    )
+    def test_curve_outside_auc_domain_rejected(self, tmp_path, capsys, rows, bad_row, reason):
+        # Curves normalized_auc would reject: each used to plot and exit 0.
+        bad = tmp_path / "bad_curve.csv"
+        bad.write_text(
+            "ddr,train_acc_mean,train_acc_std,test_acc_mean,test_acc_std,replicates\n"
+            + "".join(f"{row}\n" for row in rows)
+        )
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--curves", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: row {bad_row}: ") and reason in err
+        assert not out.exists()
+
     def test_non_utf8_curve_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "olsr_curve.csv"
         bad.write_bytes(b"\xff")
@@ -306,6 +333,20 @@ class TestSummary:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert field in err
+
+    @pytest.mark.parametrize(
+        "auc_train, auc_test",
+        [(7.5, -3), (0.5, 1.0000001), (-1e-9, 0.5), (0.5, 10**400)],
+        ids=["both-out", "test-above-one", "train-below-zero", "huge-int"],
+    )
+    def test_auc_outside_unit_interval_exit_one(self, tmp_path, capsys, auc_train, auc_test):
+        bad = tmp_path / "bad_report.json"
+        payload = {"schema_version": 1, "model": "x", "auc_train": auc_train, "auc_test": auc_test}
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "t.csv"
+        assert main(["summary", "--reports", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: field 'auc_")
+        assert not out.exists()
 
     def test_byte_identical(self, report_dir, tmp_path):
         reports = sorted(str(p) for p in report_dir.glob("*_report.json"))

@@ -230,8 +230,11 @@ class TestKnn:
         assert peak <= 2.05 * Z.shape[0] * 2000 * 8
 
     @pytest.mark.parametrize("n_train", [5, 800, 3200])
+    # Counts next to one and two full blocks, and next to 256 and 512 rows,
+    # which split into four to nine blocks.
     @pytest.mark.parametrize(
-        "n_query", [1] + [m * _BLOCK_ROWS + r for m in (1, 2) for r in (-1, 0, 1, 2)]
+        "n_query",
+        [1] + sorted({m * b + r for b in (_BLOCK_ROWS, 256) for m in (1, 2) for r in (-1, 0, 1, 2)}),
     )
     @pytest.mark.parametrize("decimals", [None, 1])
     def test_row_blocks_match_one_shot(self, n_train, n_query, decimals):
@@ -256,6 +259,29 @@ class TestKnn:
         for kind, target in (("knnr", y), ("knnc", labels)):
             expected = self.full_sort_predict(kind, 5, X, target, Z)
             assert predict(fit(ModelSpec(kind), X, target), Z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_train", [130, 800, 3200])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_predict_on_the_fitted_array(self, n_train, decimals):
+        # The query is the very buffer passed to fit, the case in which a
+        # product of one buffer with its own transpose would go to BLAS syrk.
+        rng = make_rng(27)
+        X = rng.standard_normal((n_train, 10))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        y = rng.standard_normal(n_train)
+        labels = (y > 0.0).astype(np.float64)
+        for kind, target in (("knnr", y), ("knnc", labels)):
+            expected = self.full_sort_predict(kind, 5, X, target, X)
+            assert predict(fit(ModelSpec(kind), X, target), X).tobytes() == expected.tobytes()
+
+    def test_fit_keeps_one_training_size_matrix(self):
+        X = make_rng(28).standard_normal((300, 10))
+        model = KnnModel(5, classification=False).fit(X, np.zeros(300))
+        held = [v for v in vars(model).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+        assert len(held) == 1
+        assert held[0].shape == X.shape and held[0].dtype == np.float64
+        assert not np.shares_memory(held[0], X)
 
     def test_predict_peak_memory_is_a_few_blocks(self):
         # 3200 queries against 3200 training rows: a one-shot distance matrix

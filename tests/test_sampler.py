@@ -10,7 +10,7 @@ from ddrbench import sampler
 from ddrbench.errors import DomainError, SamplerError
 from ddrbench.harness import _grid_key, seed_derivation
 from ddrbench.rng import make_rng
-from ddrbench.sampler import _step, sample_ddr_tuples
+from ddrbench.sampler import _direction, _step, sample_ddr_tuples
 
 
 def rejection_oracle(n, total, count, rng):
@@ -34,6 +34,89 @@ class TestHitAndRun:
             x = _step(x, 1.2, rng)
             assert abs(x.sum() - 1.2) <= 1e-9
             assert 0.0 <= x.min() and x.max() <= 1.0
+
+
+def numpy_direction(n, rng):
+    """The chain's direction as it was first written, in numpy calls."""
+    for _ in range(sampler._MAX_DIRECTION_RETRIES):
+        d = rng.standard_normal(n)
+        d -= d.mean()
+        norm = float(np.linalg.norm(d))
+        if norm > 1e-12:
+            return d / norm
+    raise SamplerError("could not draw a usable in-slice direction")
+
+
+def numpy_step(s, total, rng):
+    """The chain's step as it was first written, in numpy calls: the bit reference."""
+    for _ in range(sampler._MAX_DIRECTION_RETRIES):
+        d = numpy_direction(s.size, rng)
+        moving = np.abs(d) > 1e-16
+        a = (0.0 - s[moving]) / d[moving]
+        b = (1.0 - s[moving]) / d[moving]
+        lo = float(np.max(np.minimum(a, b), initial=-np.inf))
+        hi = float(np.min(np.maximum(a, b), initial=np.inf))
+        if not np.isfinite(lo) or not np.isfinite(hi):
+            raise SamplerError("direction is parallel to every box face")
+        if hi - lo > sampler._MIN_CHORD:
+            lam = rng.uniform(lo, hi)
+            x = np.clip(s + lam * d, 0.0, 1.0)
+            x = x + (total - float(np.sum(x))) / s.size
+            return np.clip(x, 0.0, 1.0)
+    raise SamplerError("no chord of positive length after bounded retries")
+
+
+class TestStepBits:
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("big_r", [1e-3, 0.3, 0.7, 0.999])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_matches_numpy_reference(self, n, big_r, seed):
+        # Both steps draw from twin streams; every state, and the streams
+        # themselves, must stay identical along the chain.
+        total = n * big_r * big_r
+        s = np.full(n, big_r * big_r)
+        ours, ref = make_rng(seed), make_rng(seed)
+        for _ in range(60):
+            got, expected = _step(s, total, ours), numpy_step(s, total, ref)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
+            s = got
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
+    def test_direction_matches_numpy_reference(self, n):
+        ours, ref = make_rng(n), make_rng(n)
+        for _ in range(20):
+            assert _direction(n, ours).tobytes() == numpy_direction(n, ref).tobytes()
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            [0.0, 0.4, 0.6, 0.5],
+            [-0.0, 0.4, 0.6, 0.5],
+            [1.0, 0.4, 0.6, 0.5],
+            [0.0, 1.0, 0.3, 0.7, 0.5],
+            [0.0, 1.0, -0.0, 0.5, 1.0, 0.0, 0.25, 0.75],
+        ],
+        ids=["zero", "negative-zero", "one", "zero-and-one", "mostly-faces"],
+    )
+    def test_step_on_box_faces_matches(self, state):
+        # Coordinates on the box faces put the chord bounds and both clips at
+        # their edges; a state on many faces has no chord left and must fail
+        # the same way in both.
+        s = np.array(state)
+        total = float(np.sum(s))
+
+        def outcome(step, seed):
+            rng = make_rng(seed)
+            try:
+                result = step(s, total, rng).tobytes()
+            except SamplerError as exc:
+                result = str(exc)
+            return result, rng.bit_generator.state
+
+        for seed in range(40):
+            assert outcome(_step, seed) == outcome(numpy_step, seed)
 
 
 class TestSampleDdrTuples:
