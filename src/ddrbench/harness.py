@@ -270,7 +270,13 @@ def _thread_count() -> int:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if requested < 0:
         raise ConfigError(f"{THREADS_ENV} must be non-negative")
-    return requested if requested > 0 else (os.cpu_count() or 1)
+    if requested > 0:
+        return requested
+    # "auto": the CPUs this process may run on, fewer than the machine's
+    # when the process is pinned to some of them.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:

@@ -89,41 +89,40 @@ class _Node:
         self.right = right
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, classification: bool):
-    """Exhaustive split search; score is the summed child impurity.
+def _best_split(xs: np.ndarray, ys: np.ndarray, y: np.ndarray, classification: bool):
+    """Exhaustive split search over one node; score is the summed child impurity.
 
+    ``xs`` holds each feature's values over the node's rows in ascending
+    order (features x rows), ``ys`` the targets in the same order, and ``y``
+    the node's targets in ascending row order, which the totals sum over.
     Ties go to the lowest feature index, then the lowest threshold, realized
-    by scanning scores in feature-major order and keeping the first minimum.
-    Thresholds equal the largest left-child value so both children are
-    guaranteed non-empty.
+    by scanning the (features x cuts) scores in C order and keeping the first
+    minimum.  Thresholds equal the largest left-child value so both children
+    are guaranteed non-empty.
     """
-    n = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    valid = xs[:-1] < xs[1:]
-    if not np.any(valid):
+    n = xs.shape[1]
+    valid = xs[:, :-1] < xs[:, 1:]
+    if not valid.any():
         return None
-    k = np.arange(1, n, dtype=np.float64)[:, None]
+    k = np.arange(1, n, dtype=np.float64)
     m = n - k
     if classification:
-        ones_left = np.cumsum(ys, axis=0)[:-1]
-        ones_right = float(np.sum(y)) - ones_left
+        ones_left = np.cumsum(ys[:, :-1], axis=1)
+        ones_right = float(np.add.reduce(y)) - ones_left
         score = 2.0 * ones_left * (k - ones_left) / k
         score += 2.0 * ones_right * (m - ones_right) / m
     else:
-        cy = np.cumsum(ys, axis=0)[:-1]
-        cy2 = np.cumsum(np.square(ys), axis=0)[:-1]
-        ty = float(np.sum(y))
-        ty2 = float(np.sum(np.square(y)))
+        cy = np.cumsum(ys[:, :-1], axis=1)
+        cy2 = np.cumsum(np.square(ys[:, :-1]), axis=1)
+        ty = float(np.add.reduce(y))
+        ty2 = float(np.add.reduce(np.square(y)))
         score = cy2 - np.square(cy) / k
         score += (ty2 - cy2) - np.square(ty - cy) / m
-    score = np.where(valid, score, np.inf)
-    flat = int(np.argmin(score.T))
-    feature, cut = divmod(flat, n - 1)
-    if not np.isfinite(score[cut, feature]):
+    score[~valid] = np.inf
+    feature, cut = divmod(int(np.argmin(score)), n - 1)
+    if not np.isfinite(score[feature, cut]):
         return None
-    return feature, float(xs[cut, feature])
+    return feature, float(xs[feature, cut])
 
 
 class CartTree:
@@ -131,6 +130,17 @@ class CartTree:
 
     Leaf values are the target mean for regression and the majority class for
     classification, majority ties resolved to class 1.
+
+    ``fit`` sorts each feature once, with one stable argsort of the
+    (features x rows) transpose, and hands each child its parent's
+    per-feature order with the other child's rows filtered out.  That is the
+    order a fresh stable sort of the child's rows would give: a stable sort
+    orders rows by value and equal values by row index, and the rows that
+    remain of the parent's order are still in that (value, row index)
+    order.  So no node sorts, and the splits match a per-node stable sort
+    bit for bit.  Each node's totals and leaf value are taken over its
+    targets in ascending row order, as a per-node fit on ``X[mask]`` takes
+    them.
     """
 
     def __init__(self, max_depth: Optional[int], min_samples_split: int, classification: bool):
@@ -140,30 +150,42 @@ class CartTree:
 
     def _leaf(self, y: np.ndarray) -> _Node:
         if self.classification:
-            value = 1.0 if 2.0 * float(np.sum(y)) >= y.size else 0.0
+            value = 1.0 if 2.0 * float(np.add.reduce(y)) >= y.size else 0.0
         else:
-            value = float(np.mean(y))
+            value = float(np.add.reduce(y)) / y.size  # the bits of np.mean(y)
         return _Node(value=value)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
+    def _grow(
+        self, XT: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int
+    ) -> _Node:
+        """Grow the subtree over ``rows`` (ascending); ``order`` holds, per
+        feature, the same rows by ascending value (features x rows)."""
+        y_node = y[rows]
         if (
             depth >= self.max_depth
-            or y.size < self.min_samples_split
-            or np.all(y == y[0])
+            or rows.size < self.min_samples_split
+            or (y_node == y_node[0]).all()
         ):
-            return self._leaf(y)
-        split = _best_split(X, y, self.classification)
+            return self._leaf(y_node)
+        f, n = XT.shape
+        # One flat take gathers every feature's sorted values.
+        xs = XT.take(order + np.arange(0, f * n, n)[:, None])
+        split = _best_split(xs, y[order], y_node, self.classification)
         if split is None:
-            return self._leaf(y)
+            return self._leaf(y_node)
         feature, threshold = split
-        mask = X[:, feature] <= threshold
+        go_left = XT[feature] <= threshold  # over every row; only the node's are read
+        left = go_left[order]
         node = _Node(feature=feature, threshold=threshold)
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
+        depth += 1
+        node.left = self._grow(XT, y, rows[go_left[rows]], order[left].reshape(f, -1), depth)
+        node.right = self._grow(XT, y, rows[~go_left[rows]], order[~left].reshape(f, -1), depth)
         return node
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CartTree":
-        self.root = self._grow(X, y, 0)
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
+        self.root = self._grow(XT, y, np.arange(XT.shape[1]), order, 0)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -193,13 +215,15 @@ class KnnModel:
     Neighbours are the first k training rows in (distance, index) order,
     which is what a full stable argsort of each distance row gives; distance
     ties resolve to the lowest training index, vote ties to class 1.  Each
-    row's k-th smallest distance comes from a partial partition.  When
-    exactly k distances are at or below it, those k are taken in index order
-    and stable-sorted by distance; when k equals the training size every
-    distance is at or below the row maximum, so that is every row, in full.
-    A row with more (a tie at the k-th distance) takes the full stable
-    argsort instead.  The votes reach the mean in the same order either way,
-    so predictions are bit-identical to the full sort.
+    row's k-th smallest distance comes from a partial partition.  The
+    indices of the distances at or below it are found once per block, and
+    a bincount of their rows gives each row's count, with no second pass
+    over the block.  When a row has exactly k, those k are taken in index
+    order and stable-sorted by distance; when k equals the training size
+    every distance is at or below the row maximum, so that is every row, in
+    full.  A row with more (a tie at the k-th distance) takes the full
+    stable argsort instead.  The votes reach the mean in the same order
+    either way, so predictions are bit-identical to the full sort.
 
     ``predict`` works through the queries in near-equal blocks of at most
     ``_BLOCK_ROWS`` rows, so it holds a few (block x training rows) matrices
@@ -264,12 +288,12 @@ class KnnModel:
         np.copyto(part, d2)
         part.partition(k - 1, axis=1)
         np.less_equal(d2, part[:, k - 1 : k], out=candidates)
-        exact = np.count_nonzero(candidates, axis=1) == k
-        tied = np.flatnonzero(~exact)
-        candidates[tied] = False
-        # Row-major: each row's k in index order.
+        # Row-major: each row's candidates in index order.
         rows, cols = np.divmod(np.flatnonzero(candidates), candidates.shape[1])
-        rows, cols = rows.reshape(-1, k), cols.reshape(-1, k)
+        exact = np.bincount(rows, minlength=candidates.shape[0]) == k
+        tied = np.flatnonzero(~exact)
+        keep = exact[rows]
+        rows, cols = rows[keep].reshape(-1, k), cols[keep].reshape(-1, k)
         order = np.argsort(d2[rows, cols], axis=1, kind="stable")
         nearest = np.empty((d2.shape[0], k), dtype=np.intp)
         nearest[rows[:, 0]] = np.take_along_axis(cols, order, axis=1)
@@ -282,6 +306,11 @@ class LinearSvr:
 
     Objective: 0.5 ||w||^2 + c * sum_i max(0, |w.x_i + b - y_i| - epsilon),
     with step_t = step / sqrt(t) over full-batch epochs.
+
+    Each epoch writes into the same residual, mask, subgradient and gradient
+    buffers and keeps the operation order of the plain update
+    w -= step_t * (w + c * (X.T @ s)), so the fitted bits are those of the
+    allocate-per-epoch loop.
     """
 
     def __init__(self, epsilon: float, c: float, epochs: int, step: float):
@@ -293,12 +322,24 @@ class LinearSvr:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSvr":
         w = np.zeros(X.shape[1])
         b = 0.0
+        r = np.empty(X.shape[0])
+        s = np.empty_like(r)
+        outside = np.empty(X.shape[0], dtype=bool)
+        g = np.empty_like(w)
         for t in range(1, self.epochs + 1):
-            residual = X @ w + b - y
-            sign = np.sign(residual) * (np.abs(residual) > self.epsilon)
+            np.matmul(X, w, out=r)
+            r += b
+            r -= y
+            np.greater(np.abs(r, out=s), self.epsilon, out=outside)
+            np.sign(r, out=s)
+            s *= outside
             eta = self.step / math.sqrt(t)
-            w -= eta * (w + self.c * (X.T @ sign))
-            b -= eta * self.c * float(np.sum(sign))
+            np.matmul(X.T, s, out=g)
+            g *= self.c
+            g += w
+            g *= eta
+            w -= g
+            b -= eta * self.c * float(np.add.reduce(s))
         self.weights = w
         self.intercept = b
         return self
@@ -310,7 +351,8 @@ class LinearSvr:
 class LinearSvc:
     """Linear hinge-loss classifier trained by subgradient descent.
 
-    Same schedule as the regressor; scores of exactly zero predict class 1.
+    Same schedule and buffering as the regressor; scores of exactly zero
+    predict class 1.
     """
 
     def __init__(self, c: float, epochs: int, step: float):
@@ -322,12 +364,23 @@ class LinearSvc:
         signed = 2.0 * y - 1.0
         w = np.zeros(X.shape[1])
         b = 0.0
+        margins = np.empty(X.shape[0])
+        active = np.empty_like(margins)
+        inside = np.empty(X.shape[0], dtype=bool)
+        g = np.empty_like(w)
         for t in range(1, self.epochs + 1):
-            margins = signed * (X @ w + b)
-            active = signed * (margins < 1.0)
+            np.matmul(X, w, out=margins)
+            margins += b
+            margins *= signed
+            np.less(margins, 1.0, out=inside)
+            np.multiply(signed, inside, out=active)
             eta = self.step / math.sqrt(t)
-            w -= eta * (w - self.c * (X.T @ active))
-            b += eta * self.c * float(np.sum(active))
+            np.matmul(X.T, active, out=g)
+            g *= self.c
+            np.subtract(w, g, out=g)
+            g *= eta
+            w -= g
+            b += eta * self.c * float(np.add.reduce(active))
         self.weights = w
         self.intercept = b
         return self
@@ -367,7 +420,7 @@ class LogisticClassifier:
             g *= self.step
             g /= n
             w -= g
-            b -= self.step * float(np.mean(gap))
+            b -= self.step * (float(np.add.reduce(gap)) / n)
         self.weights = w
         self.intercept = b
         return self
@@ -442,7 +495,7 @@ class MlpClassifier:
         z2 += params["b2"]
         terms = np.logaddexp(0.0, z2, out=ws.sig)
         terms -= np.multiply(y, z2, out=ws.dz2)
-        loss = float(np.mean(terms))
+        loss = float(np.add.reduce(terms)) / terms.size
         sig = _sigmoid(z2, out=ws.sig)
         sig -= y
         dz2 = np.divide(sig, X.shape[0], out=ws.dz2)

@@ -384,6 +384,34 @@ class TestSharedWork:
         assert calls["sampler"] == 0
         assert pools == []
 
+    @pytest.mark.parametrize("raw", [None, "", "0"])
+    def test_auto_threads_count_usable_cpus(self, monkeypatch, raw):
+        # A process pinned to 2 of the machine's 64 CPUs runs 2 grid points at once.
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {5, 9}, raising=False)
+        pools = []
+        pool = harness.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr("ddrbench.harness.ThreadPoolExecutor", recording)
+        if raw is None:
+            monkeypatch.delenv("DDRBENCH_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DDRBENCH_THREADS", raw)
+        assert all(r.complete for r in run_experiment(self.CFG))
+        assert pools == [2]
+
+    def test_auto_threads_without_affinity_count_all_cpus(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.delenv("DDRBENCH_THREADS", raising=False)
+        assert harness._thread_count() == 3
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert harness._thread_count() == 1
+
 
 class TestPersistence:
     def test_output_files_written(self, tmp_path):

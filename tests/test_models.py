@@ -1,5 +1,6 @@
 """The nine learners: contract, worked examples, and training invariants."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -476,6 +477,184 @@ class TestTrainerReferenceLoops:
         assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
         if case == "saturated":
             assert np.max(np.abs(X @ w + b)) > 40.0
+
+
+def reference_best_split(X, y, classification):
+    """Row-major split search that stable-sorts the node's rows itself."""
+    n = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    valid = xs[:-1] < xs[1:]
+    if not np.any(valid):
+        return None
+    k = np.arange(1, n, dtype=np.float64)[:, None]
+    m = n - k
+    if classification:
+        ones_left = np.cumsum(ys, axis=0)[:-1]
+        ones_right = float(np.sum(y)) - ones_left
+        score = 2.0 * ones_left * (k - ones_left) / k
+        score += 2.0 * ones_right * (m - ones_right) / m
+    else:
+        cy = np.cumsum(ys, axis=0)[:-1]
+        cy2 = np.cumsum(np.square(ys), axis=0)[:-1]
+        ty = float(np.sum(y))
+        ty2 = float(np.sum(np.square(y)))
+        score = cy2 - np.square(cy) / k
+        score += (ty2 - cy2) - np.square(ty - cy) / m
+    score = np.where(valid, score, np.inf)
+    flat = int(np.argmin(score.T))
+    feature, cut = divmod(flat, n - 1)
+    if not np.isfinite(score[cut, feature]):
+        return None
+    return feature, float(xs[cut, feature])
+
+
+def reference_cart(X, y, max_depth, min_samples_split, classification):
+    """CART grown on ``X[mask]``, one stable argsort per node.
+
+    A leaf is ``(value,)`` and a split ``(feature, threshold, left, right)``.
+    """
+    max_depth = math.inf if max_depth is None else max_depth
+
+    def leaf(y):
+        if classification:
+            return (1.0 if 2.0 * float(np.sum(y)) >= y.size else 0.0,)
+        return (float(np.mean(y)),)
+
+    def grow(X, y, depth):
+        if depth >= max_depth or y.size < min_samples_split or np.all(y == y[0]):
+            return leaf(y)
+        split = reference_best_split(X, y, classification)
+        if split is None:
+            return leaf(y)
+        feature, threshold = split
+        mask = X[:, feature] <= threshold
+        return (feature, threshold, grow(X[mask], y[mask], depth + 1),
+                grow(X[~mask], y[~mask], depth + 1))
+
+    return grow(X, y, 0)
+
+
+def reference_tree_predict(tree, X):
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        node = tree
+        while len(node) == 4:
+            node = node[2] if row[node[0]] <= node[1] else node[3]
+        out[i] = node[0]
+    return out
+
+
+def preorder(tree):
+    """(feature, threshold bits) per split and (None, value bits) per leaf, in preorder."""
+    if isinstance(tree, tuple):
+        if len(tree) == 1:
+            return [(None, np.float64(tree[0]).tobytes())]
+        feature, threshold, left, right = tree
+    elif tree.value is not None:
+        return [(None, np.float64(tree.value).tobytes())]
+    else:
+        feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    return [(feature, np.float64(threshold).tobytes())] + preorder(left) + preorder(right)
+
+
+def reference_lsvr_fit(X, y, epsilon, c, epochs, step):
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for t in range(1, epochs + 1):
+        residual = X @ w + b - y
+        sign = np.sign(residual) * (np.abs(residual) > epsilon)
+        eta = step / math.sqrt(t)
+        w -= eta * (w + c * (X.T @ sign))
+        b -= eta * c * float(np.sum(sign))
+    return w, b
+
+
+def reference_lsvc_fit(X, y, c, epochs, step):
+    signed = 2.0 * y - 1.0
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for t in range(1, epochs + 1):
+        margins = signed * (X @ w + b)
+        active = signed * (margins < 1.0)
+        eta = step / math.sqrt(t)
+        w -= eta * (w - c * (X.T @ active))
+        b += eta * c * float(np.sum(active))
+    return w, b
+
+
+def tied_case(n, seed, classification):
+    """Features rounded to one decimal, the first one constant; noisy targets.
+
+    Rounding makes many values tie within a column and leaves both -0.0 and
+    0.0 in it.  Those two compare equal, and a split at them takes the last
+    value of the tie in the sorted order as its threshold, so the threshold's
+    sign bit shows whether ties kept the stable (row index) order.
+    """
+    rng = make_rng(1000 * n + seed)
+    X = np.round(rng.standard_normal((n, 6)), 1)
+    X[:, 0] = 0.5
+    y = np.sin(2.0 * X[:, 1]) + X[:, 2] * X[:, 3] + 0.3 * rng.standard_normal(n)
+    if classification:
+        y = (y > 0.0).astype(np.float64)
+    return X, y
+
+
+class TestPresortedCart:
+    """The presorted tree against a per-node sort, node by node and bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["dtr", "dtc"])
+    @pytest.mark.parametrize("n", [37, 90, 800, 3200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("hp", [(10, 80), (None, 2)], ids=["pinned", "full"])
+    def test_matches_per_node_sort(self, kind, n, seed, hp):
+        classification = kind == "dtc"
+        X, y = tied_case(n, seed, classification)
+        expected = reference_cart(X, y, *hp, classification)
+        model = CartTree(*hp, classification=classification).fit(X, y)
+        assert preorder(model.root) == preorder(expected)
+        Z = np.round(make_rng(seed).standard_normal((50, 6)), 1)
+        for Q in (X, Z):
+            assert model.predict(Q).tobytes() == reference_tree_predict(expected, Q).tobytes()
+
+    def test_a_case_splits_at_signed_zero(self):
+        # The -0.0/0.0 tie that tied_case relies on is met by a pinned split.
+        X, y = tied_case(800, 2, False)
+        zero = {np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()}
+        tree = preorder(reference_cart(X, y, 10, 80, False))
+        assert any(f is not None and t in zero for f, t in tree)
+
+
+# Changes to the pinned hyperparameters: none, and c = 0.7, because at c = 1
+# a product by c reordered would leave the bits unchanged.
+LINEAR_HP = {"pinned": {}, "c0.7": dict(c=0.7, step=3e-3)}
+
+
+class TestLinearReferenceLoops:
+    """The buffered subgradient trainers against the allocate-per-epoch loops."""
+
+    @pytest.mark.parametrize("n", [37, 90, 800, 3200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("hp", list(LINEAR_HP))
+    def test_lsvr_matches_reference(self, n, seed, hp):
+        X, y = tied_case(n, seed, False)
+        hp = dict(PINNED["lsvr"][1], **LINEAR_HP[hp])
+        w, b = reference_lsvr_fit(X, y, **hp)
+        model = LinearSvr(**hp).fit(X, y)
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.parametrize("n", [37, 90, 800, 3200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("hp", list(LINEAR_HP))
+    def test_lsvc_matches_reference(self, n, seed, hp):
+        X, y = tied_case(n, seed, True)
+        hp = dict(PINNED["lsvc"][1], **LINEAR_HP[hp])
+        w, b = reference_lsvc_fit(X, y, **hp)
+        model = LinearSvc(**hp).fit(X, y)
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
 
 
 class TestSigmoid:
