@@ -6,6 +6,9 @@ lists, one at a time, for the run length it sets and at the benchmark's
 default seed, then ``--trace 1`` on each workload the same way; the traced
 runs' per-layer metrics and the wrapped names no sweep called
 (``uncalled_layers``, read from perfbench's result file) go under ``traced``.
+Every run, traced or not, also carries ``reference_s``: perfbench's median
+time of its fixed reference kernel on this host during that run (its result
+file's ``raw_medians_s.reference_s``).
 Then times one default ``ddrbench run`` per task (all models, 21 grid
 points, 5 replicates, seed 0) at ``DDRBENCH_THREADS`` = 1 and 2,
 each in a fresh interpreter with BLAS pinned to one thread as perfbench
@@ -19,7 +22,11 @@ from an uncommitted tree is not mistaken for a run of its parent commit.
 
 Exits 1 if a workload's run, traced or not, fails or reads
 ``correct: false``, or a default sweep exits non-zero; the file is written
-either way.  Numbers from different hosts are not comparable.
+either way.  The end-to-end metrics are already scaled to a reference host,
+but the traced per-layer times are not: divide each by its run's
+``reference_s`` before comparing it with another BENCH file's, so the
+comparison measures the code and not the host's speed or load.  The default
+sweeps' wall times have no such reference and do not compare across hosts.
 """
 
 from __future__ import annotations
@@ -68,12 +75,13 @@ def run_workload(workload: str, seconds: float, trace: int) -> dict:
         return {"correct": False, "error": proc.stderr.strip()[-2000:] or f"exit {proc.returncode}"}
     summary = json.loads(lines[-1])
     summary["metrics"] = {name: m["value"] for name, m in summary["metrics"].items()}
+    # run.py runs at its default seed 0 here.
+    result = json.loads(
+        (RESULTS / workload / f"result-seed0-trace{trace}.json").read_text(encoding="utf-8")
+    )
+    summary["reference_s"] = result["raw_medians_s"]["reference_s"]
     if trace:
-        # run.py runs at its default seed 0 here.
-        result = RESULTS / workload / "result-seed0-trace1.json"
-        summary["uncalled_layers"] = json.loads(result.read_text(encoding="utf-8"))[
-            "uncalled_layers"
-        ]
+        summary["uncalled_layers"] = result["uncalled_layers"]
     return summary
 
 

@@ -44,11 +44,6 @@ from .signals import (
     matrix_ddr_two_norm,
     power,
 )
-from .standardize import (
-    StandardizationParams,
-    ddr_invariant_standardize,
-    standardize_params,
-)
 
 __version__ = "0.1.0"
 
@@ -70,11 +65,9 @@ __all__ = [
     "REGRESSION",
     "RandomSource",
     "SamplerError",
-    "StandardizationParams",
     "TrainedModel",
     "ddr_approx",
     "ddr_exact",
-    "ddr_invariant_standardize",
     "f1_score",
     "fit",
     "gen_friedman1",
@@ -91,6 +84,5 @@ __all__ = [
     "run_experiment",
     "sample_ddr_tuples",
     "seed_derivation",
-    "standardize_params",
     "trust_point",
 ]

@@ -194,7 +194,8 @@ def read_report_json(path: str) -> dict:
     """Load a report payload, rejecting any that `summary` cannot tabulate.
 
     A complete report carries AUCs in [0, 1]; an incomplete one carries null
-    for both.
+    for both.  Either way its model is a kind in `models.MODELS`, so the
+    name cannot break the summary table's rows.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -208,15 +209,19 @@ def read_report_json(path: str) -> dict:
     for name in ("model", "auc_train", "auc_test"):
         if name not in payload:
             raise ConfigError(f"{path}: missing field {name!r}")
-    if not isinstance(payload["model"], str):
-        raise ConfigError(f"{path}: field 'model' must be a string, got {payload['model']!r}")
-    if payload["auc_train"] is None and payload["auc_test"] is None:
-        return payload
-    for name in ("auc_train", "auc_test"):
-        value = payload[name]
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not numeric or not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{path}: field {name!r} must be a number in [0, 1], got {value!r}")
+    if payload["auc_train"] is not None or payload["auc_test"] is not None:
+        for name in ("auc_train", "auc_test"):
+            value = payload[name]
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not numeric or not 0.0 <= value <= 1.0:
+                raise ConfigError(
+                    f"{path}: field {name!r} must be a number in [0, 1], got {value!r}"
+                )
+    model = payload["model"]
+    if not isinstance(model, str) or model not in MODELS:
+        raise ConfigError(
+            f"{path}: field 'model' must be one of {', '.join(MODELS)}, got {model!r}"
+        )
     return payload
 
 

@@ -163,12 +163,15 @@ def inject_noise(clean: CleanDataset, rs: np.ndarray, rng: RandomSource) -> Nois
     ``rs`` holds one DDR in [0, 1] per feature column, such as one row of
     `sample_ddr_tuples`.
 
-    Column j becomes alpha_j * x_j + beta_j plus N(0, 1 - r_j) noise, with the
-    parameters `standardize_params` gives column j, taken for all columns in
-    one pass; the noise of column j is the j-th block of n draws from rng, as
-    a per-column loop would draw it.  Targets carry over untouched.  A
-    constant clean column is only legal at r = 0; otherwise the
-    degenerate-column error names the lowest offending index.
+    Column j becomes alpha_j * x_j + beta_j plus N(0, 1 - r_j) noise, where
+    alpha_j = sqrt(r_j) / S_j and beta_j = -(mean_j / S_j) sqrt(r_j) for the
+    column's n-1 sample standard deviation S_j, taken for all columns in one
+    pass.  The noise of column j is the j-th block of n draws from rng, as a
+    per-column loop would draw it; `per_column_standardize` in
+    tests/test_datagen.py is that loop, and holds this one to its bits.
+    Targets carry over untouched.  A constant clean column is only legal at
+    r = 0; otherwise the degenerate-column error names the lowest offending
+    index.
     """
     n_samples, n_features = clean.features.shape
     rs = np.array(rs, dtype=np.float64)
@@ -183,7 +186,7 @@ def inject_noise(clean: CleanDataset, rs: np.ndarray, rng: RandomSource) -> Nois
         if n_samples < 2:
             raise DomainError("standardization needs at least two samples")
         # Row-wise reductions over contiguous rows sum in the same order as a
-        # reduction over one column, so these match standardize_params bit for bit.
+        # reduction over one column, so these match a per-column loop bit for bit.
         columns = np.ascontiguousarray(clean.features.T[active])
         s_d = np.std(columns, axis=1, ddof=1)
         constant = np.flatnonzero(active)[s_d == 0.0]

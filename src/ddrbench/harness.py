@@ -31,7 +31,7 @@ from .errors import ConfigError, DdrBenchError
 from .evaluation import CurvePoint, PerformanceReport, f1_score, nmse_accuracy, report_from_curve
 from .models import CLASSIFICATION_KINDS, MODELS, REGRESSION_KINDS, ModelSpec, fit, predict
 from .rng import fnv1a64, make_rng, mix_seed
-from .sampler import sample_ddr_tuples
+from .sampler import BURN_IN, THINNING, sample_ddr_tuples
 
 SCHEMA_VERSION = 1
 
@@ -59,8 +59,6 @@ class ExperimentConfig:
     n_features: int = 10
     ddr_grid: Tuple[float, ...] = field(default_factory=default_grid)
     tuples_per_grid_point: int = 5
-    burn_in: int = 1000
-    thinning: int = 10
     master_seed: int = 0
     out_dir: Optional[str] = None
 
@@ -131,8 +129,8 @@ class ExperimentConfig:
             "tuples_per_grid_point": self.tuples_per_grid_point,
             "train_fraction": TRAIN_FRACTION,
             "class_sep": CLASS_SEP,
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
+            "burn_in": BURN_IN,
+            "thinning": THINNING,
         }
 
 
@@ -237,8 +235,6 @@ def _run_grid_point(
             ddr,
             config.tuples_per_grid_point,
             make_rng(seed_derivation(config.master_seed, key, 0, "sampler")),
-            burn_in=config.burn_in,
-            thinning=config.thinning,
         )
     except DdrBenchError as exc:
         return {kind: [failure(kind, ri, exc) for ri in replicates] for kind in cells}

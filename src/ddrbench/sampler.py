@@ -21,6 +21,10 @@ from .signals import DdrValue
 _MIN_CHORD = 1e-13
 _MAX_DIRECTION_RETRIES = 100
 
+# Chain steps before the first tuple, and between consecutive tuples.
+BURN_IN = 1000
+THINNING = 10
+
 
 def _direction(n: int, rng: RandomSource) -> np.ndarray:
     """A random unit direction whose components sum to zero, so steps stay on the slice."""
@@ -75,21 +79,15 @@ def _clip(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def sample_ddr_tuples(
-    n: int,
-    target: float,
-    count: int,
-    rng: RandomSource,
-    burn_in: int = 1000,
-    thinning: int = 10,
-) -> np.ndarray:
+def sample_ddr_tuples(n: int, target: float, count: int, rng: RandomSource) -> np.ndarray:
     """Draw per-column DDR tuples for a dataset-level target R.
 
     Returns a read-only (count, n) float64 array, one tuple per row, whose
     entries lie in [0, 1] and whose rows' squares sum to n R^2 to within
     1e-9.  Chain states are squared DDRs on the slice
     {s in [0,1]^n : sum s = nR^2}, started from the always-feasible symmetric
-    point s_i = R^2; tuples map back through r_i = sqrt(s_i).  Degenerate
+    point s_i = R^2, run for BURN_IN steps and then THINNING steps per
+    tuple; tuples map back through r_i = sqrt(s_i).  Degenerate
     targets (R = 0, R = 1, or n = 1) force a single feasible corner, which is
     returned directly.
     """
@@ -97,19 +95,17 @@ def sample_ddr_tuples(
         raise DomainError("need at least one column")
     if count < 1:
         raise DomainError("need at least one tuple")
-    if burn_in < 0 or thinning < 1:
-        raise DomainError("burn_in must be >= 0 and thinning >= 1")
     big_r = DdrValue(target)
     total = n * big_r * big_r
     if n == 1 or total == 0.0 or total == float(n):
         tuples = np.full((count, n), float(big_r))
     else:
         s = np.full(n, big_r * big_r)
-        for _ in range(burn_in):
+        for _ in range(BURN_IN):
             s = _step(s, total, rng)
         tuples = np.empty((count, n))
         for row in tuples:
-            for _ in range(thinning):
+            for _ in range(THINNING):
                 s = _step(s, total, rng)
             np.sqrt(s, out=row)
     residual = float(np.max(np.abs(np.sum(np.square(tuples), axis=1) - total)))

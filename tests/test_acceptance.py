@@ -22,6 +22,7 @@ from scipy.stats import ks_2samp, spearmanr
 
 from conftest import grad_check_error
 from ddrbench.cli import main as cli_main
+from ddrbench.datagen import REGRESSION, CleanDataset, inject_noise
 from ddrbench.errors import DegenerateSignalError
 from ddrbench.evaluation import f1_score, nmse_accuracy, normalized_auc, trust_point
 from ddrbench.harness import ExperimentConfig, report_payload, run_experiment
@@ -35,7 +36,6 @@ from ddrbench.signals import (
     matrix_ddr_two_norm,
     power,
 )
-from ddrbench.standardize import ddr_invariant_standardize
 
 # Published regression AUCs: printed for comparison in criterion 5, not asserted.
 TABLE_REGRESSION = {
@@ -182,7 +182,9 @@ def test_criterion_01_standardization_guarantees():
     for r in [round(0.1 * i, 1) for i in range(11)]:
         for seed in range(20):
             d = make_rng(1000 + seed).uniform(0.0, 1.0, 10_000)
-            det, noise = ddr_invariant_standardize(d, r, make_rng(2000 + seed))
+            clean = CleanDataset(d[:, None], d, REGRESSION)
+            noisy = inject_noise(clean, [r], make_rng(2000 + seed))
+            det, noise = noisy.deterministic[:, 0], noisy.noise[:, 0]
             obs = det + noise
             mean = abs(float(np.mean(obs)))
             pw = abs(float(power(obs)) - 1.0)
@@ -402,8 +404,7 @@ def test_criterion_08_determinism(tmp_path, monkeypatch):
 
     config = ExperimentConfig(
         task="regression", models=("olsr",), n_samples=120, n_features=4,
-        ddr_grid=(0.0, 0.5, 1.0), tuples_per_grid_point=2,
-        burn_in=50, thinning=3, master_seed=21,
+        ddr_grid=(0.0, 0.5, 1.0), tuples_per_grid_point=2, master_seed=21,
     )
     monkeypatch.setenv("DDRBENCH_THREADS", "1")
     serial = [report_payload(r) for r in run_experiment(config)]

@@ -1,5 +1,6 @@
 """CLI subcommands: run, plot, summary; exit codes and byte determinism."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -12,6 +13,33 @@ RUN_ARGS = [
     "--samples", "120", "--features", "4", "--grid", "3",
     "--replicates", "1", "--seed", "7",
 ]
+
+
+# sha256 of every file one small `run` per task writes; see test_report_bytes_pinned.
+REPORT_DIGESTS = {
+    "regression": {
+        "dtr_curve.csv": "3466ab97b3d051f3323acf9b33cdaf36c9860f4cdd93ff5f7d9545aed95d8893",
+        "dtr_report.json": "a6dbf72ed4095e83bf5c3b6f250da69985602ce4bce37738d5bcfb61e7670b1d",
+        "knnr_curve.csv": "aca5f95b4e2150d86b4795d470012ce5f879a97000390a585724ed8685f1ec18",
+        "knnr_report.json": "fba605a4f1a47b7e963f381d77b4c735aa96f1580d8413d83dce166af926fa05",
+        "lsvr_curve.csv": "dcd5952b6528b48f7545f32775c7004a8673e8eee6445e1a46f9a8f4049a4b04",
+        "lsvr_report.json": "0582bcbed9ed2d8d47ff46a7909b1a8df9727a2c7fadf153e5896a9af9a44619",
+        "olsr_curve.csv": "d7ecb9894030cdb7203bb258499e1abde2188236f4a4f6f9d1ab6879610bcecf",
+        "olsr_report.json": "d5ec48aea3b758468aef1abfa55895def22c50d95353d823fa9336fa192d41de",
+    },
+    "classification": {
+        "blrc_curve.csv": "068216e9998e28cf9fd2898321c6aa68e413899e0b049000d6b7f41541c73868",
+        "blrc_report.json": "420da101fc1189bf3e3525525f303fbe03347567b42c6d0444e6116543382fa6",
+        "dtc_curve.csv": "f83e809e4d4eebd17216d3e19a2a4e2972dd635bc280d8f0d50e817800db15b5",
+        "dtc_report.json": "0014357d91c103e52086393ed56622724a81e6240b71febf525280ffc64a6282",
+        "knnc_curve.csv": "3e0a3c5898e3b7b208de994739e773f416590c347454366a5840eb1bb0645e7b",
+        "knnc_report.json": "1477fee902a82e84f80ec76d4c81c223aae287dd3c260b9ab6cd2f79ac0f2395",
+        "lsvc_curve.csv": "d3221bfb2b38e447c540be6ef6d6de86b45eb95647d8beb6bbf3743053db1394",
+        "lsvc_report.json": "ae18fc18f1ec736c49685bd5fc879b15d5c7d6eab95f3dbb23caca8bbaf3049e",
+        "mlpc_curve.csv": "dda644d839543f5ec374809911f13482c9a04a84da6ccb59dda8282603303000",
+        "mlpc_report.json": "dbf2a98f6f83624bfed01daab03b211820b261f76bf04473fe1d375b9865d47e",
+    },
+}
 
 
 def run_small(out_dir, extra=()):
@@ -116,6 +144,21 @@ class TestRun:
         monkeypatch.setenv("DDRBENCH_THREADS", "1")
         assert run_small(tmp_path) == 2
 
+
+    @pytest.mark.parametrize("task", sorted(REPORT_DIGESTS))
+    def test_report_bytes_pinned(self, tmp_path, monkeypatch, task):
+        # Grid 3 holds DDR 0.5, so the sampler chain runs; any changed byte fails.
+        monkeypatch.setenv("DDRBENCH_THREADS", "1")
+        code = main([
+            "run", "--task", task, "--models", "all",
+            "--samples", "120", "--features", "5", "--grid", "3",
+            "--replicates", "2", "--seed", "0", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert digests == REPORT_DIGESTS[task]
 
     def test_failed_model_loses_stale_curve(self, tmp_path, monkeypatch):
         from ddrbench.errors import DomainError
@@ -322,8 +365,27 @@ class TestSummary:
                 "'auc_test'",
             ),
             ("model,auc_test\nolsr,0.5\n", "not a valid report JSON"),
+            (
+                '{"schema_version": 1, "model": "olsr,x\\nevil", "auc_train": 0.5, "auc_test": 0.5}',
+                "field 'model' must be one of olsr, ",
+            ),
+            (
+                '{"schema_version": 1, "model": "gbm", "auc_train": 0.5, "auc_test": 0.5}',
+                "field 'model' must be one of olsr, ",
+            ),
+            (
+                '{"schema_version": 1, "model": "gbm", "auc_train": null, "auc_test": null}',
+                "field 'model' must be one of olsr, ",
+            ),
+            (
+                '{"schema_version": 1, "model": ["olsr"], "auc_train": 0.5, "auc_test": 0.5}',
+                "field 'model' must be one of olsr, ",
+            ),
         ],
-        ids=["list", "no-model", "no-auc-train", "no-auc-test", "text-auc", "not-json"],
+        ids=[
+            "list", "no-model", "no-auc-train", "no-auc-test", "text-auc", "not-json",
+            "csv-breaking-model", "unknown-model", "incomplete-unknown-model", "list-model",
+        ],
     )
     def test_malformed_report_exit_one(self, tmp_path, capsys, text, field):
         bad = tmp_path / "bad_report.json"

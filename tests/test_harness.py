@@ -29,8 +29,6 @@ SMALL = dict(
     n_features=4,
     ddr_grid=(0.0, 0.5, 1.0),
     tuples_per_grid_point=2,
-    burn_in=50,
-    thinning=3,
 )
 
 REGRESSORS = ("olsr", "lsvr", "dtr", "knnr")
@@ -118,16 +116,19 @@ class TestConfigValidation:
     def test_smallest_regression_size_runs(self):
         cfg = ExperimentConfig(
             task=REGRESSION, models=("olsr",), n_samples=8, n_features=1,
-            ddr_grid=(0.0, 1.0), tuples_per_grid_point=1, burn_in=50, thinning=3,
+            ddr_grid=(0.0, 1.0), tuples_per_grid_point=1,
         )
         (report,) = run_experiment(cfg)
         assert report.complete and report.curve[0].replicates == 1
 
     def test_echo_keeps_train_fraction(self):
-        cfg = ExperimentConfig(task=REGRESSION, models=("olsr",))
-        assert cfg.echo()["train_fraction"] == 0.8
-        with pytest.raises(TypeError):
-            ExperimentConfig(task=REGRESSION, models=("olsr",), train_fraction=0.5)
+        # Fixed run settings stay in the echo (and so in the report bytes) but are no fields.
+        echo = ExperimentConfig(task=REGRESSION, models=("olsr",)).echo()
+        assert echo["train_fraction"] == 0.8
+        assert (echo["burn_in"], echo["thinning"]) == (1000, 10)
+        for fixed in ("train_fraction", "burn_in"):
+            with pytest.raises(TypeError):
+                ExperimentConfig(task=REGRESSION, models=("olsr",), **{fixed: 50})
 
 
 class TestRunExperiment:
@@ -163,7 +164,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             task=REGRESSION, models=("olsr",), master_seed=3,
             n_samples=400, n_features=4, ddr_grid=(0.0, 1.0),
-            tuples_per_grid_point=2, burn_in=50, thinning=3,
+            tuples_per_grid_point=2,
         )
         report = run_experiment(cfg)[0]
         assert report.curve[-1].test_accuracy >= 0.99
@@ -172,7 +173,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             task=CLASSIFICATION, models=("blrc",), master_seed=5,
             n_samples=1000, n_features=4, ddr_grid=(0.0, 1.0),
-            tuples_per_grid_point=3, burn_in=50, thinning=3,
+            tuples_per_grid_point=3,
         )
         report = run_experiment(cfg)[0]
         assert 0.35 <= report.curve[0].test_accuracy <= 0.65

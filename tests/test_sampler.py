@@ -173,13 +173,9 @@ class TestSampleDdrTuples:
 # sha256 of sample_ddr_tuples(...).tobytes().  The digests pin the chain's
 # bits: an edit that changes any bit of any tuple fails here.
 CHAIN_DIGESTS = [
-    ((4, 0.6, 10, 9, {}), "d326dd0be84c84a9a0f3da8f85e24ef30a885c3e95a118be92179fe4514fb328"),
-    ((2, 0.9, 20, 12, {}), "4abb3c8a5196c391e8ec8f1ed6ceb93039ed212a0093bc68dabf795ca14fb3a1"),
-    ((50, 0.05, 3, 3, {}), "8c5b932b5f928dc2d2813e1068862069c40676342ac73130166f8dfd5097a440"),
-    (
-        (6, 0.3, 4, 31, {"burn_in": 50, "thinning": 3}),
-        "eab2c7d41502f1a0ceed728c8e92453c1c63573dce9b8332afce31c099c62e82",
-    ),
+    ((4, 0.6, 10, 9), "d326dd0be84c84a9a0f3da8f85e24ef30a885c3e95a118be92179fe4514fb328"),
+    ((2, 0.9, 20, 12), "4abb3c8a5196c391e8ec8f1ed6ceb93039ed212a0093bc68dabf795ca14fb3a1"),
+    ((50, 0.05, 3, 3), "8c5b932b5f928dc2d2813e1068862069c40676342ac73130166f8dfd5097a440"),
 ]
 
 # The chains a default sweep at master seed 0 runs at these grid points.
@@ -203,8 +199,8 @@ class TestArrayContract:
 
     @pytest.mark.parametrize("args, digest", CHAIN_DIGESTS)
     def test_chain_bytes_pinned(self, args, digest):
-        n, big_r, count, seed, kwargs = args
-        tuples = sample_ddr_tuples(n, big_r, count, make_rng(seed), **kwargs)
+        n, big_r, count, seed = args
+        tuples = sample_ddr_tuples(n, big_r, count, make_rng(seed))
         assert hashlib.sha256(tuples.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("ddr", sorted(SWEEP_CHAIN_DIGESTS))
@@ -224,4 +220,4 @@ class TestArrayContract:
     def test_off_slice_chain_raises(self, monkeypatch, off_slice):
         monkeypatch.setattr(sampler, "_step", off_slice)
         with pytest.raises(SamplerError):
-            sample_ddr_tuples(3, 0.8, 2, make_rng(2), burn_in=1, thinning=1)
+            sample_ddr_tuples(3, 0.8, 2, make_rng(2))
