@@ -14,12 +14,15 @@ from .signals import DdrValue
 def nmse_accuracy(y_true, y_pred) -> float:
     """1 minus the MSE normalized by the population target variance, floored at 0.
 
-    Perfect predictions score 1; predicting the target mean scores 0.
+    Perfect predictions score 1; predicting the target mean scores 0.  A
+    non-finite target or prediction is an error, not a score of 0.
     """
     yt = np.asarray(y_true, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.float64)
     if yt.shape != yp.shape or yt.ndim != 1 or yt.size < 2:
         raise DomainError("need two equal-length vectors of at least two values")
+    if not (np.all(np.isfinite(yt)) and np.all(np.isfinite(yp))):
+        raise DomainError("targets and predictions must be finite")
     variance = float(np.var(yt))
     if variance == 0.0:
         raise DegenerateTargetError("targets have zero variance")

@@ -91,7 +91,8 @@ class ExperimentConfig:
                     f"generator {self.generator!r} does not produce {self.task!r} data"
                 )
         grid = tuple(float(v) for v in self.ddr_grid)
-        if len(grid) < 2 or sorted(grid) != list(grid) or len(set(grid)) != len(grid):
+        # Every comparison with NaN is false, so this rejects NaN too.
+        if len(grid) < 2 or not all(a < b for a, b in zip(grid, grid[1:])):
             raise ConfigError("ddr grid must be strictly increasing")
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise ConfigError("ddr grid must start at 0 and end at 1")
@@ -283,6 +284,9 @@ def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:
     no AUC.
     """
     threads = _thread_count()
+    # Made before the sweep, so an unusable directory fails before any cell runs.
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     grid_indices = range(len(config.ddr_grid))
     if threads == 1:
         per_point = [_run_grid_point(config, gi) for gi in grid_indices]
@@ -393,7 +397,6 @@ def write_summary_csv(reports: Sequence[dict], path) -> None:
 
 def write_outputs(reports: Sequence[PerformanceReport], out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for report in reports:
         curve_path = out / f"{report.model}_curve.csv"
         if report.curve is not None:

@@ -215,15 +215,11 @@ class KnnModel:
     Neighbours are the first k training rows in (distance, index) order,
     which is what a full stable argsort of each distance row gives; distance
     ties resolve to the lowest training index, vote ties to class 1.  Each
-    row's k-th smallest distance comes from a partial partition.  The
-    indices of the distances at or below it are found once per block, and
-    a bincount of their rows gives each row's count, with no second pass
-    over the block.  When a row has exactly k, those k are taken in index
-    order and stable-sorted by distance; when k equals the training size
-    every distance is at or below the row maximum, so that is every row, in
-    full.  A row with more (a tie at the k-th distance) takes the full
-    stable argsort instead.  The votes reach the mean in the same order
-    either way, so predictions are bit-identical to the full sort.
+    row's k-th smallest distance comes from a partial partition, and the
+    distances not greater than it are the row's candidates: k of them, or
+    more when distances tie at the k-th.  One stable lexsort by (row,
+    distance) orders a block's candidates, and each row takes its first k,
+    so predictions are bit-identical to the full sort.
 
     ``predict`` works through the queries in near-equal blocks of at most
     ``_BLOCK_ROWS`` rows, so it holds a few (block x training rows) matrices
@@ -287,18 +283,16 @@ class KnnModel:
         d2 += self._sq
         np.copyto(part, d2)
         part.partition(k - 1, axis=1)
-        np.less_equal(d2, part[:, k - 1 : k], out=candidates)
-        # Row-major: each row's candidates in index order.
+        # A NaN distance is never greater, so it stays a candidate; it sorts
+        # last, so it is taken only when a row has fewer than k numbers.
+        np.greater(d2, part[:, k - 1 : k], out=candidates)
+        np.logical_not(candidates, out=candidates)
+        # Row-major, so each row's candidates come in index order and the
+        # stable lexsort keeps that order among equal distances.
         rows, cols = np.divmod(np.flatnonzero(candidates), candidates.shape[1])
-        exact = np.bincount(rows, minlength=candidates.shape[0]) == k
-        tied = np.flatnonzero(~exact)
-        keep = exact[rows]
-        rows, cols = rows[keep].reshape(-1, k), cols[keep].reshape(-1, k)
-        order = np.argsort(d2[rows, cols], axis=1, kind="stable")
-        nearest = np.empty((d2.shape[0], k), dtype=np.intp)
-        nearest[rows[:, 0]] = np.take_along_axis(cols, order, axis=1)
-        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        return nearest
+        order = np.lexsort((d2[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(d2.shape[0]))
+        return cols[order[starts[:, None] + np.arange(k)]]
 
 
 class LinearSvr:

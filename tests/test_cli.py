@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,22 @@ class TestRun:
         assert run_small(tmp_path) == 0
         assert (tmp_path / "olsr_curve.csv").exists()
         assert (tmp_path / "olsr_report.json").exists()
+
+    def test_module_entry_point(self, tmp_path):
+        # A fresh interpreter, as `python -m ddrbench.cli` is run by scripts/.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "ddrbench.cli", "run", "--task", "regression",
+             "--models", "olsr", "--grid", "3", "--samples", "60", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "olsr_curve.csv", "olsr_report.json",
+        ]
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -35,6 +35,15 @@ class TestNmseAccuracy:
         with pytest.raises(DegenerateTargetError):
             nmse_accuracy([2.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "y_true, y_pred",
+        [([0.0, 1.0], [0.5, np.nan]), ([0.0, 1.0], [np.inf, 0.5]), ([0.0, np.nan], [0.0, 1.0])],
+    )
+    def test_non_finite_rejected(self, y_true, y_pred):
+        # max(0.0, nan) is 0.0: a diverged learner must not score as a bad one.
+        with pytest.raises(DomainError, match="finite"):
+            nmse_accuracy(y_true, y_pred)
+
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=30), st.floats(-10, 10))
     @settings(max_examples=100)
     def test_constant_offset_formula(self, values, c):

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ddrbench import datagen, harness, models
@@ -63,6 +64,12 @@ class TestConfigValidation:
             ExperimentConfig(task=REGRESSION, models=("olsr",), ddr_grid=(0.0, 0.5))
         with pytest.raises(ConfigError):
             ExperimentConfig(task=REGRESSION, models=("olsr",), ddr_grid=(0.2, 1.0))
+
+    def test_nan_grid_point_rejected(self):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            ExperimentConfig(
+                task=REGRESSION, models=("olsr",), ddr_grid=(0.0, float("nan"), 1.0)
+            )
 
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
@@ -371,6 +378,33 @@ class TestSharedWork:
             assert report.incomplete_cells == tuple(
                 f"{kind} at ddr=0.5 rep={ri}: synthetic sampler failure" for ri in (0, 1)
             )
+
+    def test_nan_prediction_fails_its_cells(self, monkeypatch):
+        clean = {r.model: report_payload(r) for r in run_experiment(self.CFG)}
+        original = harness.predict
+
+        def diverged(trained, X):
+            out = original(trained, X)
+            return np.full_like(out, np.nan) if trained.spec.kind == "lsvr" else out
+
+        monkeypatch.setattr("ddrbench.harness.predict", diverged)
+        reports = {r.model: r for r in run_experiment(self.CFG)}
+        assert reports["lsvr"].incomplete_cells == tuple(sorted(
+            f"lsvr at ddr={ddr:g} rep={ri}: targets and predictions must be finite"
+            for ddr in self.CFG.ddr_grid
+            for ri in range(self.CFG.tuples_per_grid_point)
+        ))
+        for kind in ("olsr", "dtr", "knnr"):
+            assert report_payload(reports[kind]) == clean[kind]
+
+    def test_unusable_out_dir_fails_before_any_work(self, monkeypatch, tmp_path):
+        calls = _count_sampler(monkeypatch)
+        taken = tmp_path / "a-file"
+        taken.write_text("")
+        cfg = ExperimentConfig(out_dir=str(taken), **FOUR_REGRESSORS)
+        with pytest.raises(FileExistsError):
+            run_experiment(cfg)
+        assert calls["sampler"] == 0
 
     @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
     def test_invalid_thread_count_fails_before_any_work(self, monkeypatch, raw):
