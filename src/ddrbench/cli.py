@@ -47,6 +47,7 @@ def _read_utf8(path: str) -> str:
 def load_config_file(path: str) -> Dict[str, str]:
     """Parse the optional `key = value` config file ('#' starts a comment)."""
     values: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(_read_utf8(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -58,8 +59,18 @@ def load_config_file(path: str) -> Dict[str, str]:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(CONFIG_KEYS)}"
             )
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value
     return values
+
+
+def _nonempty(flag: str, path: Optional[str]) -> Optional[str]:
+    """Reject an empty output path, which would mean the current directory."""
+    if path == "":
+        raise ConfigError(f"{flag} must not be empty")
+    return path
 
 
 def cmd_run(args) -> int:
@@ -86,7 +97,7 @@ def cmd_run(args) -> int:
             f"unknown task {task_name!r}; valid tasks: {', '.join(TASK_ALIASES)}"
         )
     task = TASK_ALIASES[task_name]
-    out_dir = setting(args.out, "out")
+    out_dir = _nonempty("--out", setting(args.out, "out"))
     if out_dir is None:
         raise ConfigError("--out directory is required")
     # Only the values set here are passed; ExperimentConfig holds the defaults.
@@ -170,6 +181,7 @@ def _refuse_overwriting_inputs(outputs, inputs) -> None:
 
 
 def cmd_plot(args) -> int:
+    _nonempty("--out", args.out)
     _refuse_overwriting_inputs([args.out], args.curves)
     series = []
     ylabel = args.ylabel
@@ -228,7 +240,8 @@ def read_report_json(path: str) -> dict:
 def cmd_summary(args) -> int:
     if not args.reports:
         raise ConfigError("at least one report JSON is required")
-    svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
+    _nonempty("--out", args.out)
+    svg_path = _nonempty("--svg", args.svg) or str(Path(args.out).with_suffix(".svg"))
     if Path(svg_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"the table and the bar chart would both be written to {args.out}")
     _refuse_overwriting_inputs([args.out, svg_path], args.reports)

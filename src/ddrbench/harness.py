@@ -178,14 +178,11 @@ def _noisy_split(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One replicate's noisy dataset from one generator, as read-only train and test arrays."""
     gen_rng = make_rng(seed_derivation(config.master_seed, key, replicate, "datagen"))
-    clean = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
-    noisy = datagen.inject_noise(
-        clean,
-        rs,
-        make_rng(seed_derivation(config.master_seed, key, replicate, "noise")),
+    clean, targets = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
+    deterministic, noise = datagen.inject_noise(
+        clean, rs, make_rng(seed_derivation(config.master_seed, key, replicate, "noise"))
     )
-    features = noisy.observed
-    targets = noisy.targets
+    features = deterministic + noise
     train_idx, test_idx = _split_indices(
         targets, config.task, seed_derivation(config.master_seed, key, replicate, "split")
     )

@@ -22,7 +22,7 @@ from scipy.stats import ks_2samp, spearmanr
 
 from conftest import grad_check_error
 from ddrbench.cli import main as cli_main
-from ddrbench.datagen import REGRESSION, CleanDataset, inject_noise
+from ddrbench.datagen import inject_noise
 from ddrbench.errors import DegenerateSignalError
 from ddrbench.evaluation import f1_score, nmse_accuracy, normalized_auc, trust_point
 from ddrbench.harness import ExperimentConfig, report_payload, run_experiment
@@ -182,9 +182,8 @@ def test_criterion_01_standardization_guarantees():
     for r in [round(0.1 * i, 1) for i in range(11)]:
         for seed in range(20):
             d = make_rng(1000 + seed).uniform(0.0, 1.0, 10_000)
-            clean = CleanDataset(d[:, None], d, REGRESSION)
-            noisy = inject_noise(clean, [r], make_rng(2000 + seed))
-            det, noise = noisy.deterministic[:, 0], noisy.noise[:, 0]
+            det, noise = inject_noise(d[:, None], [r], make_rng(2000 + seed))
+            det, noise = det[:, 0], noise[:, 0]
             obs = det + noise
             mean = abs(float(np.mean(obs)))
             pw = abs(float(power(obs)) - 1.0)

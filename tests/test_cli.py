@@ -139,6 +139,24 @@ class TestRun:
         assert err.startswith("error: ")
         assert str(config) in err and "samples" in err and "'abc'" in err
 
+    def test_config_key_set_twice_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("task = regression\nseed = 1\n\nseed = 2\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:4: 'seed' is already set on line 2")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_empty_out_exit_one(self, tmp_path, monkeypatch, capsys, source):
+        # An empty path would otherwise mean the current directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench.cfg").write_text("out =\n")
+        extra = ["--out", ""] if source == "flag" else ["--config", "bench.cfg"]
+        assert main(RUN_ARGS + extra) == 1
+        assert capsys.readouterr().err == "error: --out must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.cfg"]
+
     def test_non_utf8_config_exit_one(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_bytes(b"\xff")
@@ -311,6 +329,11 @@ class TestPlot:
         assert err.startswith(f"error: {bad}: row {bad_row}: ") and reason in err
         assert not out.exists()
 
+    def test_empty_out_exit_one(self, curve_dir, capsys):
+        code = main(["plot", "--curves", str(curve_dir / "olsr_curve.csv"), "--out", ""])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --out must not be empty\n"
+
     def test_non_utf8_curve_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "olsr_curve.csv"
         bad.write_bytes(b"\xff")
@@ -362,6 +385,17 @@ class TestSummary:
         assert main(args) == 1
         assert "both be written to" in capsys.readouterr().err
         assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_empty_out_exit_one(self, report_dir, tmp_path, monkeypatch, capsys, flag):
+        reports = sorted(str(p) for p in report_dir.glob("*_report.json"))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        paths = ["--out", "t.csv", "--svg", "t.svg"]
+        paths[paths.index(flag) + 1] = ""
+        assert main(["summary", "--reports", *reports, *paths]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_empty_reports_exit_one(self, tmp_path):
         assert main(["summary", "--out", str(tmp_path / "t.csv")]) == 1

@@ -67,8 +67,8 @@ class TestModelTable:
 
 class TestContracts:
     def test_predict_rejects_wrong_width(self):
-        data = gen_linear_regression(50, 3, make_rng(0))
-        model = fit(ModelSpec("olsr"), data.features, data.targets)
+        X, y = gen_linear_regression(50, 3, make_rng(0))
+        model = fit(ModelSpec("olsr"), X, y)
         with pytest.raises(DomainError):
             predict(model, np.zeros((5, 4)))
 
@@ -83,19 +83,19 @@ class TestContracts:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_determinism(self, kind):
         if kind in REGRESSION_KINDS:
-            data = gen_linear_regression(80, 4, make_rng(1))
+            X, y = gen_linear_regression(80, 4, make_rng(1))
         else:
-            data = gen_two_class(80, 4, make_rng(1))
-        a = predict(fit(ModelSpec(kind, seed=5), data.features, data.targets), data.features)
-        b = predict(fit(ModelSpec(kind, seed=5), data.features, data.targets), data.features)
+            X, y = gen_two_class(80, 4, make_rng(1))
+        a = predict(fit(ModelSpec(kind, seed=5), X, y), X)
+        b = predict(fit(ModelSpec(kind, seed=5), X, y), X)
         assert np.array_equal(a, b)
 
 
 class TestOls:
     def test_exact_recovery(self):
-        data = gen_linear_regression(100, 5, make_rng(2))
-        model = fit(ModelSpec("olsr"), data.features, data.targets)
-        assert nmse_accuracy(data.targets, predict(model, data.features)) >= 1 - 1e-12
+        X, y = gen_linear_regression(100, 5, make_rng(2))
+        model = fit(ModelSpec("olsr"), X, y)
+        assert nmse_accuracy(y, predict(model, X)) >= 1 - 1e-12
 
     def test_singular_system_min_norm(self):
         X = np.column_stack([np.arange(6.0), np.arange(6.0)])  # rank 1
@@ -308,14 +308,14 @@ class TestKnn:
 
 class TestLinearSubgradient:
     def test_svr_learns_linear_map(self):
-        data = gen_linear_regression(400, 8, make_rng(13))
-        model = fit(ModelSpec("lsvr"), data.features, data.targets)
-        assert nmse_accuracy(data.targets, predict(model, data.features)) >= 0.99
+        X, y = gen_linear_regression(400, 8, make_rng(13))
+        model = fit(ModelSpec("lsvr"), X, y)
+        assert nmse_accuracy(y, predict(model, X)) >= 0.99
 
     def test_svc_separates_wide_clusters(self):
-        data = gen_two_class(400, 3, make_rng(14), class_sep=4.0)
-        model = fit(ModelSpec("lsvc"), data.features, data.targets)
-        assert f1_score(data.targets, predict(model, data.features)) >= 0.99
+        X, y = gen_two_class(400, 3, make_rng(14), class_sep=4.0)
+        model = fit(ModelSpec("lsvc"), X, y)
+        assert f1_score(y, predict(model, X)) >= 0.99
 
     def test_blrc_zero_weights_tie_break(self):
         model = LogisticClassifier(1, step=0.0001).fit(np.zeros((6, 2)), np.array([0.0, 1.0] * 3))
@@ -331,10 +331,10 @@ class TestNoiselessAccuracyFloor:
         [("olsr", 100, 5), ("knnr", 1000, 1), ("dtr", 4000, 1), ("lsvr", 500, 10)],
     )
     def test_noiseless_linear_data(self, kind, n_samples, n_features):
-        data = gen_linear_regression(n_samples, n_features, make_rng(15))
-        model = fit(ModelSpec(kind), data.features, data.targets)
+        X, y = gen_linear_regression(n_samples, n_features, make_rng(15))
+        model = fit(ModelSpec(kind), X, y)
         floor = 1 - 1e-12 if kind == "olsr" else 0.99
-        assert nmse_accuracy(data.targets, predict(model, data.features)) >= floor
+        assert nmse_accuracy(y, predict(model, X)) >= floor
 
 
 class TestMlp:
@@ -362,17 +362,17 @@ class TestMlp:
             assert np.asarray(params[name]).tobytes() == before[name].tobytes(), name
 
     def test_loss_non_increasing(self):
-        data = gen_two_class(200, 5, make_rng(18))
-        model = fit(ModelSpec("mlpc", seed=19), data.features, data.targets)
+        X, y = gen_two_class(200, 5, make_rng(18))
+        model = fit(ModelSpec("mlpc", seed=19), X, y)
         history = model.impl.loss_history
         assert len(history) == 301
         worst = max(b - a for a, b in zip(history, history[1:]))
         assert worst <= 1e-6
 
     def test_learns_separable_data(self):
-        data = gen_two_class(400, 4, make_rng(20), class_sep=3.0)
-        model = fit(ModelSpec("mlpc", seed=21), data.features, data.targets)
-        assert f1_score(data.targets, predict(model, data.features)) >= 0.95
+        X, y = gen_two_class(400, 4, make_rng(20), class_sep=3.0)
+        model = fit(ModelSpec("mlpc", seed=21), X, y)
+        assert f1_score(y, predict(model, X)) >= 0.95
 
     def test_seed_changes_init(self):
         a = MlpClassifier.init_params(3, 4, 0.5, seed=1)
@@ -434,17 +434,14 @@ def trainer_case(case):
     """(X, y, mlpc hyperparameters, blrc hyperparameters) for one reference-loop case."""
     if case.startswith("two_class-"):
         n, d = (int(v) for v in case.split("-")[1].split("x"))
-        data = gen_two_class(n, d, make_rng(n + d))
-        return data.features, data.targets, MLPC, BLRC
+        X, y = gen_two_class(n, d, make_rng(n + d))
+        return X, y, MLPC, BLRC
     if case == "one-unit-one-epoch-one-feature":
-        data = gen_two_class(120, 1, make_rng(31))
-        return (
-            data.features, data.targets,
-            dict(MLPC, hidden_units=1, epochs=1), dict(BLRC, iterations=1),
-        )
+        X, y = gen_two_class(120, 1, make_rng(31))
+        return X, y, dict(MLPC, hidden_units=1, epochs=1), dict(BLRC, iterations=1)
     if case == "saturated":
-        data = gen_two_class(200, 4, make_rng(32))
-        return 50.0 * data.features, data.targets, MLPC, BLRC
+        X, y = gen_two_class(200, 4, make_rng(32))
+        return 50.0 * X, y, MLPC, BLRC
     raise ValueError(case)
 
 

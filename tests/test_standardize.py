@@ -1,6 +1,6 @@
 """DDR-invariant standardization of deterministic signals, as `inject_noise` does it.
 
-Each case standardizes one signal as the single column of a `CleanDataset`.
+Each case standardizes one signal as the single column of a feature matrix.
 """
 
 import math
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ddrbench.datagen import REGRESSION, CleanDataset, inject_noise
+from ddrbench.datagen import inject_noise
 from ddrbench.errors import DegenerateDeterministicError, DomainError
 from ddrbench.rng import make_rng
 from ddrbench.signals import ddr_approx, power
@@ -17,8 +17,8 @@ from ddrbench.signals import ddr_approx, power
 def standardize(d, r, seed):
     """The deterministic and noise parts of signal d standardized at DDR r."""
     d = np.asarray(d, dtype=np.float64)
-    noisy = inject_noise(CleanDataset(d[:, None], d, REGRESSION), [r], make_rng(seed))
-    return noisy.deterministic[:, 0], noisy.noise[:, 0]
+    det, noise = inject_noise(d[:, None], [r], make_rng(seed))
+    return det[:, 0], noise[:, 0]
 
 
 class TestParams:
