@@ -14,9 +14,12 @@ points, 5 replicates, seed 0) at ``DDRBENCH_THREADS`` = 1 and 2,
 each in a fresh interpreter with BLAS pinned to one thread as perfbench
 pins it; the wall time includes interpreter start-up and imports.  Writes
 the end-to-end metrics and these timings to a JSON file together with the
-CPU count, the Python and numpy versions, the ``HEAD`` commit and a ``dirty``
-flag that is true when ``git status --porcelain`` lists any change, so a run
-from an uncommitted tree is not mistaken for a run of its parent commit.
+CPU count, the Python and numpy versions, the OpenBLAS kernel (``blas_core``,
+e.g. ``SkylakeX``, or ``unknown`` when numpy's BLAS does not report one; the
+digests perfbench checks hold on one kernel only), the ``HEAD`` commit and a
+``dirty`` flag that is true when ``git status --porcelain`` lists any change,
+so a run from an uncommitted tree is not mistaken for a run of its parent
+commit.
 
     python3 scripts/bench_record.py --out BENCH_9.json
 
@@ -32,6 +35,7 @@ sweeps' wall times have no such reference and do not compare across hosts.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -64,6 +68,24 @@ def git(*args: str) -> Optional[str]:
     except (OSError, subprocess.TimeoutExpired):
         return None
     return proc.stdout if proc.returncode == 0 else None
+
+
+def blas_core() -> str:
+    """The kernel the OpenBLAS that numpy loaded chose for this CPU, or "unknown"."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.split()[-1]}
+    except OSError:
+        return "unknown"
+    for lib in sorted(libs):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            try:
+                corename = getattr(ctypes.CDLL(lib), symbol)
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def run_workload(workload: str, seconds: float, trace: int) -> dict:
@@ -110,6 +132,7 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_core": blas_core(),
         "seconds": spec["run_seconds"],
         "workloads": {},
         "traced": {},

@@ -73,6 +73,13 @@ def _nonempty(flag: str, path: Optional[str]) -> Optional[str]:
     return path
 
 
+def _output_file(flag: str, path: Optional[str]) -> Optional[str]:
+    """Reject an output file path that is empty or ends in no name, such as ``.`` or ``/``."""
+    if _nonempty(flag, path) is not None and not Path(path).name:
+        raise ConfigError(f"{flag} names no file")
+    return path
+
+
 def cmd_run(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
 
@@ -181,7 +188,7 @@ def _refuse_overwriting_inputs(outputs, inputs) -> None:
 
 
 def cmd_plot(args) -> int:
-    _nonempty("--out", args.out)
+    _output_file("--out", args.out)
     _refuse_overwriting_inputs([args.out], args.curves)
     series = []
     ylabel = args.ylabel
@@ -240,8 +247,8 @@ def read_report_json(path: str) -> dict:
 def cmd_summary(args) -> int:
     if not args.reports:
         raise ConfigError("at least one report JSON is required")
-    _nonempty("--out", args.out)
-    svg_path = _nonempty("--svg", args.svg) or str(Path(args.out).with_suffix(".svg"))
+    _output_file("--out", args.out)
+    svg_path = _output_file("--svg", args.svg) or str(Path(args.out).with_suffix(".svg"))
     if Path(svg_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"the table and the bar chart would both be written to {args.out}")
     _refuse_overwriting_inputs([args.out, svg_path], args.reports)

@@ -207,6 +207,10 @@ class CartTree:
 # Query rows per kNN distance block: 64 x 3200 training rows is 1.6 MB, so
 # a block's distances stay in a 2 MB per-core L2 cache between its passes.
 _BLOCK_ROWS = 64
+# Strided column groups whose minima bound each row's k-th kNN distance.
+# The minimum's inner loop runs across the groups, so 128 groups predicted
+# 3-6% faster than 64 at 800 and 3200 training rows.
+_GROUPS = 128
 
 
 class KnnModel:
@@ -214,16 +218,26 @@ class KnnModel:
 
     Neighbours are the first k training rows in (distance, index) order,
     which is what a full stable argsort of each distance row gives; distance
-    ties resolve to the lowest training index, vote ties to class 1.  Each
-    row's k-th smallest distance comes from a partial partition, and the
-    distances not greater than it are the row's candidates: k of them, or
-    more when distances tie at the k-th.  One stable lexsort by (row,
-    distance) orders a block's candidates, and each row takes its first k,
-    so predictions are bit-identical to the full sort.
+    ties resolve to the lowest training index, vote ties to class 1.
+
+    Selection bounds each row's k-th smallest distance from above, keeps the
+    distances not greater than the bound as candidates, orders a block's
+    candidates by one stable lexsort by (row, distance), and takes each
+    row's first k.  The bound is the k-th smallest of the minima of
+    G = min(``_GROUPS``, training rows) strided column groups (column c is
+    in group c mod G), so no copy of the distances is partitioned.  Those
+    k minima are k distinct distances of the row, so the row's true k-th
+    distance is at most the bound, and every distance up to the true k-th is
+    a candidate: the first k candidates are the full sort's first k, bit for
+    bit, however many more the bound lets in.  A NaN distance is never
+    greater than the bound, so it stays a candidate and sorts last.  A group
+    holding a NaN has a NaN minimum, which the partition puts last; with
+    fewer than k NaN-free groups, or fewer groups than k, the bound is NaN
+    and every distance is a candidate.
 
     ``predict`` works through the queries in near-equal blocks of at most
-    ``_BLOCK_ROWS`` rows, so it holds a few (block x training rows) matrices
-    at a time, never one (queries x training rows) matrix.  Each block's
+    ``_BLOCK_ROWS`` rows, so it holds one block's distances and candidate
+    mask at a time, never one (queries x training rows) matrix.  Each block's
     distances match the one-shot product bit for bit as long as the block
     has more than one row: BLAS computes a one-row product as a
     matrix-vector product, which rounds differently.  ``np.array_split``
@@ -257,22 +271,18 @@ class KnnModel:
         # fresh ones went back to the OS and were faulted in again each time,
         # which at 800 training rows cost more than the blocks saved.
         shape = (blocks[0].shape[0], self._xm2.shape[0])
-        d2, part, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        nearest = np.concatenate(
-            [self._nearest(b, d2[: len(b)], part[: len(b)], mask[: len(b)]) for b in blocks]
-        )
+        d2, mask = np.empty(shape), np.empty(shape, dtype=bool)
+        nearest = np.concatenate([self._nearest(b, d2[: len(b)], mask[: len(b)]) for b in blocks])
         votes = self.y[nearest]
         if self.classification:
             return (2.0 * np.sum(votes, axis=1) >= self.k).astype(np.float64)
         return np.mean(votes, axis=1)
 
-    def _nearest(
-        self, X: np.ndarray, d2: np.ndarray, part: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
+    def _nearest(self, X: np.ndarray, d2: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Indices of the k nearest training rows to each row of X, nearest first.
 
-        ``d2``, ``part`` and ``candidates`` are (rows of X x training rows)
-        buffers that this call overwrites.
+        ``d2`` and ``candidates`` are (rows of X x training rows) buffers that
+        this call overwrites.
         """
         k = self.k
         # sum(X^2) - 2.0 * (X @ train.T) + self._sq, bit for bit: the product
@@ -281,11 +291,22 @@ class KnnModel:
         np.matmul(X, self._xm2.T, out=d2)
         d2 += np.sum(np.square(X), axis=1, keepdims=True)
         d2 += self._sq
-        np.copyto(part, d2)
-        part.partition(k - 1, axis=1)
+        # Group g holds columns g, g + G, ...: the first G * m columns reshape
+        # to (rows, m, G) without a copy, and the n - G * m tail columns fold
+        # into the first groups.  np.minimum propagates NaN.
+        n = d2.shape[1]
+        groups = min(_GROUPS, n)
+        full = n - n % groups
+        bound = np.minimum.reduce(d2[:, :full].reshape(len(d2), -1, groups), axis=1)
+        np.minimum(bound[:, : n - full], d2[:, full:], out=bound[:, : n - full])
+        if k <= groups:
+            bound.partition(k - 1, axis=1)
+            bound = bound[:, k - 1 : k]
+        else:
+            bound = np.nan
         # A NaN distance is never greater, so it stays a candidate; it sorts
         # last, so it is taken only when a row has fewer than k numbers.
-        np.greater(d2, part[:, k - 1 : k], out=candidates)
+        np.greater(d2, bound, out=candidates)
         np.logical_not(candidates, out=candidates)
         # Row-major, so each row's candidates come in index order and the
         # stable lexsort keeps that order among equal distances.

@@ -334,6 +334,14 @@ class TestPlot:
         assert code == 1
         assert capsys.readouterr().err == "error: --out must not be empty\n"
 
+    @pytest.mark.parametrize("out", [".", "/"])
+    def test_out_without_file_name_exit_one(self, curve_dir, monkeypatch, capsys, out):
+        monkeypatch.chdir(curve_dir)
+        before = {p.name: p.read_bytes() for p in curve_dir.iterdir()}
+        assert main(["plot", "--curves", "olsr_curve.csv", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --out names no file\n"
+        assert {p.name: p.read_bytes() for p in curve_dir.iterdir()} == before
+
     def test_non_utf8_curve_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "olsr_curve.csv"
         bad.write_bytes(b"\xff")
@@ -395,6 +403,21 @@ class TestSummary:
         paths[paths.index(flag) + 1] = ""
         assert main(["summary", "--reports", *reports, *paths]) == 1
         assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "flag, path", [("--out", "."), ("--out", "/"), ("--svg", "."), ("--svg", "/")]
+    )
+    def test_path_without_file_name_exit_one(
+        self, report_dir, tmp_path, monkeypatch, capsys, flag, path
+    ):
+        reports = sorted(str(p) for p in report_dir.glob("*_report.json"))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        paths = ["--out", "t.csv", "--svg", "t.svg"]
+        paths[paths.index(flag) + 1] = path
+        assert main(["summary", "--reports", *reports, *paths]) == 1
+        assert capsys.readouterr().err == f"error: {flag} names no file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_empty_reports_exit_one(self, tmp_path):

@@ -22,6 +22,7 @@ from ddrbench.models import (
     ModelSpec,
     OlsRegressor,
     _BLOCK_ROWS,
+    _GROUPS,
     _sigmoid,
     fit,
     predict,
@@ -130,6 +131,15 @@ class TestCart:
         assert np.all(predict(model, X) == 1.0)
 
 
+# Training sizes around the kNN group count, with k below, at and above it.
+GROUP_CASES = [
+    (n_train, k)
+    for n_train in (_GROUPS // 2, _GROUPS - 1, _GROUPS, _GROUPS + 1, 2 * _GROUPS + 1)
+    for k in (5, _GROUPS - 1, _GROUPS, _GROUPS + 1)
+    if k <= n_train
+]
+
+
 class TestKnn:
     def test_k1_memorizes_training_data(self):
         X = make_rng(7).standard_normal((30, 3))
@@ -217,6 +227,31 @@ class TestKnn:
         assert got.tobytes() == expected.tobytes()
         assert not full_rows
 
+    @pytest.mark.parametrize("kind", ["knnr", "knnc"])
+    @pytest.mark.parametrize("data", ["raw", "rounded", "one-huge-row"])
+    @pytest.mark.parametrize("n_train, k", GROUP_CASES)
+    def test_group_bound_matches_full_stable_sort(self, kind, data, n_train, k):
+        # Fewer training rows than groups give one column per group; the rest
+        # fold their tail columns into the first groups; k above the group
+        # count leaves no bound.  Rounding ties distances at the bound, and one
+        # row scaled by 1e200 puts inf, and NaN on its own query row, into one
+        # group of each row.
+        rng = make_rng(29)
+        X = rng.standard_normal((n_train + 40, 6))
+        if data == "rounded":
+            X = np.round(X)
+        elif data == "one-huge-row":
+            X[n_train // 2] *= 1e200
+        y = rng.standard_normal(n_train)
+        if kind == "knnc":
+            y = (y > 0.0).astype(np.float64)
+        train = X[:n_train]
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = KnnModel(k, classification=kind == "knnc").fit(train, y)
+            for Z in (train, X[n_train:]):
+                expected = self.full_sort_predict(kind, k, train, y, Z)
+                assert model.predict(Z).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("decimals", [None, 0])
     def test_predict_peak_memory(self, decimals):
         # Rounded to integers, about 1600 of the 2000 rows tie at the k-th distance.
@@ -291,7 +326,7 @@ class TestKnn:
     def test_predict_peak_memory_is_a_few_blocks(self):
         # 3200 queries against 3200 training rows: a one-shot distance matrix
         # alone would be 82 MB.  Blocked, predict holds one block's distances,
-        # their partitioned copy and candidate mask, plus the (queries x k)
+        # their candidate mask and group minima, plus the (queries x k)
         # neighbour and vote arrays.
         rng = make_rng(26)
         X, Z = rng.standard_normal((3200, 10)), rng.standard_normal((3200, 10))
@@ -304,6 +339,21 @@ class TestKnn:
             tracemalloc.stop()
         outputs = 4 * 3200 * 5 * 8
         assert peak <= 3 * _BLOCK_ROWS * 3200 * 8 + outputs
+
+    def test_predict_holds_one_block_of_distances(self):
+        # Beside one block's distances, predict holds only their one-byte
+        # candidate mask, the (block x groups) minima and the (queries x k)
+        # neighbour indices and votes: no second block-size float buffer.
+        rng = make_rng(30)
+        X, Z = rng.standard_normal((3200, 10)), rng.standard_normal((3200, 10))
+        model = fit(ModelSpec("knnr"), X, rng.standard_normal(3200))
+        tracemalloc.start()
+        try:
+            predict(model, Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _BLOCK_ROWS * 3200 * 8 + 2 * 3200 * 5 * 8
 
 
 class TestLinearSubgradient:
