@@ -9,10 +9,14 @@ runs' per-layer metrics and the wrapped names no sweep called
 Every run, traced or not, also carries ``reference_s``: perfbench's median
 time of its fixed reference kernel on this host during that run (its result
 file's ``raw_medians_s.reference_s``).
-Then times one default ``ddrbench run`` per task (all models, 21 grid
-points, 5 replicates, seed 0) at ``DDRBENCH_THREADS`` = 1 and 2,
-each in a fresh interpreter with BLAS pinned to one thread as perfbench
-pins it; the wall time includes interpreter start-up and imports.  Writes
+Then times the default ``ddrbench run`` of each task (all models, 21 grid
+points, 5 replicates, seed 0) ``SWEEP_RUNS`` times at each of
+``DDRBENCH_THREADS`` = 1 and 2, alternating the thread counts and swapping
+which goes first in every round, so a slow phase of the host does not fall
+on one count only.  Each sweep runs in a fresh interpreter with BLAS pinned
+to one thread as perfbench pins it; its wall time includes interpreter
+start-up and imports.  Every run's time is recorded together with their
+median.  Writes
 the end-to-end metrics and these timings to a JSON file together with the
 CPU count, the Python and numpy versions, the OpenBLAS kernel (``blas_core``,
 e.g. ``SkylakeX``, or ``unknown`` when numpy's BLAS does not report one; the
@@ -39,6 +43,7 @@ import ctypes
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,6 +62,8 @@ SRC = ROOT / "src"
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TASKS = ("regression", "classification")
 SWEEP_THREADS = (1, 2)
+# Default sweeps per (task, thread count); one run could not tell 1 thread from 2.
+SWEEP_RUNS = 3
 
 
 def git(*args: str) -> Optional[str]:
@@ -144,16 +151,26 @@ def main(argv=None) -> int:
             print(f"running {workload}, trace {trace} ...", file=sys.stderr, flush=True)
             record[key][workload] = run_workload(workload, spec["run_seconds"], trace)
     for task in TASKS:
-        for threads in SWEEP_THREADS:
-            print(f"timing default {task} sweep, {threads} thread(s) ...", file=sys.stderr,
-                  flush=True)
-            record["default_sweeps"].setdefault(task, {})[f"threads_{threads}"] = (
-                time_default_sweep(task, threads)
-            )
+        runs = {threads: [] for threads in SWEEP_THREADS}
+        for i in range(SWEEP_RUNS):
+            for threads in SWEEP_THREADS[:: 1 if i % 2 == 0 else -1]:
+                print(f"timing default {task} sweep {i + 1}/{SWEEP_RUNS}, {threads} "
+                      "thread(s) ...", file=sys.stderr, flush=True)
+                runs[threads].append(time_default_sweep(task, threads))
+        record["default_sweeps"][task] = {
+            f"threads_{threads}": {
+                "runs": timed,
+                "median_wall_s": statistics.median(t["wall_s"] for t in timed),
+            }
+            for threads, timed in runs.items()
+        }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     print(json.dumps(record, indent=2, sort_keys=True))
-    sweeps = [t for by_threads in record["default_sweeps"].values() for t in by_threads.values()]
+    sweeps = [
+        t for by_threads in record["default_sweeps"].values()
+        for timed in by_threads.values() for t in timed["runs"]
+    ]
     runs = [*record["workloads"].values(), *record["traced"].values()]
     ok = all(w["correct"] for w in runs)
     return 0 if ok and all(t["exit"] == 0 for t in sweeps) else 1

@@ -1,16 +1,27 @@
 """Experiment orchestration: DDR grid sweeps, replication, and persistence.
 
 The grid point is the unit of work.  At each grid point the DDR tuple chain
-runs once; for each replicate, each generator builds one noisy dataset and
-train/test split, and every model on that generator is fitted and scored on
-those same arrays.  Grid points run in parallel on a thread pool.
+runs once; each generator then builds one noisy dataset and train/test split
+per replicate, and every model on that generator is fitted and scored on
+those same arrays.  A kind marked ``stacked`` in `models.MODELS` is fitted
+once over the stack of those replicates' splits and predicts both stacks in
+one call each; every other kind is fitted per replicate.  Grid points run in
+parallel on a thread pool.
 
 A sweep cell is one (model, grid point, replicate) triple with its own
 seeds: each stage derives its random source from the master seed, a stable
 key of the grid DDR value, the replicate index, and a stage tag.  The shared
 stages' seeds never depended on the model, so sharing them changes no output,
-results do not depend on order or thread count, and a failure fails only the
-cells that depend on the failed stage.
+and results do not depend on order or thread count.  A failure fails only
+the cells that depend on the failed stage:
+
+- a failed sampler fails every cell at its grid point;
+- a failed dataset fails its replicate's cells on that generator, and
+  leaves that replicate out of the stack;
+- a failed stacked fit or predict fails that kind's cells at that grid
+  point, because they all come from that one step;
+- scoring stays per replicate, so a non-finite prediction fails only its
+  own replicate's cell.
 """
 
 from __future__ import annotations
@@ -193,19 +204,42 @@ def _noisy_split(
     return split
 
 
-def _score(
-    config: ExperimentConfig, kind: str, key: int, replicate: int, data
-) -> Tuple[float, float]:
-    """Train one model on a replicate's train split; return train and test accuracy."""
-    x_train, y_train, x_test, y_test = data
-    spec = ModelSpec(
-        kind, seed=seed_derivation(config.master_seed, key, replicate, "model")
-    )
+def _stack(splits) -> Tuple[np.ndarray, ...]:
+    """The replicates' (x_train, y_train, x_test, y_test) splits as four read-only stacks."""
+    stack = tuple(np.stack(arrays) for arrays in zip(*splits))
+    for arr in stack:
+        arr.flags.writeable = False
+    return stack
+
+
+def _fit_predict(spec: ModelSpec, data) -> Tuple[np.ndarray, np.ndarray]:
+    """Fit on a split's training arrays; return the predictions on its train and test features."""
+    x_train, y_train, x_test, _ = data
     trained = fit(spec, x_train, y_train)
-    metric = f1_score if config.task == CLASSIFICATION else nmse_accuracy
-    train_acc = metric(y_train, predict(trained, x_train))
-    test_acc = metric(y_test, predict(trained, x_test))
-    return train_acc, test_acc
+    return predict(trained, x_train), predict(trained, x_test)
+
+
+def _predictions(config: ExperimentConfig, kind: str, key: int, splits: dict, stack) -> dict:
+    """Each replicate's (train, test) predictions by one kind, or the error that failed them.
+
+    A stacked kind is fitted once on ``stack``, the stack of ``splits`` in
+    replicate order, so an error there is every replicate's.  Any other kind
+    is fitted on each replicate's split with that cell's model seed.
+    """
+    if MODELS[kind].stacked:
+        try:
+            train, test = _fit_predict(ModelSpec(kind), stack)
+        except DdrBenchError as exc:
+            return {ri: exc for ri in splits}
+        return {ri: (train[i], test[i]) for i, ri in enumerate(splits)}
+    out = {}
+    for ri, data in splits.items():
+        spec = ModelSpec(kind, seed=seed_derivation(config.master_seed, key, ri, "model"))
+        try:
+            out[ri] = _fit_predict(spec, data)
+        except DdrBenchError as exc:
+            out[ri] = exc
+    return out
 
 
 def _run_grid_point(
@@ -222,7 +256,7 @@ def _run_grid_point(
     ddr = config.ddr_grid[gi]
     key = _grid_key(ddr)
     replicates = range(config.tuples_per_grid_point)
-    cells: Dict[str, list] = {kind: [] for kind in config.models}
+    cells: Dict[str, list] = {kind: [None] * len(replicates) for kind in config.models}
 
     def failure(kind, ri, exc) -> str:
         return f"{kind} at ddr={ddr:g} rep={ri}: {exc}"
@@ -237,22 +271,32 @@ def _run_grid_point(
     except DdrBenchError as exc:
         return {kind: [failure(kind, ri, exc) for ri in replicates] for kind in cells}
 
+    metric = f1_score if config.task == CLASSIFICATION else nmse_accuracy
     by_generator: Dict[str, List[str]] = {}
     for kind in cells:
         by_generator.setdefault(config.generator_for(kind), []).append(kind)
-    for ri in replicates:
-        for generator_id, kinds in by_generator.items():
+    for generator_id, kinds in by_generator.items():
+        splits = {}
+        for ri in replicates:
             try:
-                data = _noisy_split(config, generator_id, key, ri, tuples[ri])
+                splits[ri] = _noisy_split(config, generator_id, key, ri, tuples[ri])
             except DdrBenchError as exc:
                 for kind in kinds:
-                    cells[kind].append(failure(kind, ri, exc))
-                continue
-            for kind in kinds:
+                    cells[kind][ri] = failure(kind, ri, exc)
+        if not splits:
+            continue
+        # Every split of a config has the same shapes, so the replicates stack.
+        stack = _stack(splits.values()) if any(MODELS[k].stacked for k in kinds) else None
+        for kind in kinds:
+            for ri, outcome in _predictions(config, kind, key, splits, stack).items():
+                if isinstance(outcome, DdrBenchError):
+                    cells[kind][ri] = failure(kind, ri, outcome)
+                    continue
+                (_, y_train, _, y_test), (train_pred, test_pred) = splits[ri], outcome
                 try:
-                    cells[kind].append(_score(config, kind, key, ri, data))
+                    cells[kind][ri] = (metric(y_train, train_pred), metric(y_test, test_pred))
                 except DdrBenchError as exc:
-                    cells[kind].append(failure(kind, ri, exc))
+                    cells[kind][ri] = failure(kind, ri, exc)
     return cells
 
 

@@ -44,6 +44,7 @@ class TrainedModel:
     spec: ModelSpec
     n_features: int
     impl: object
+    stack: Tuple[int, ...] = ()  # (R,) after fitting a stack of R datasets
 
 
 def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -131,8 +132,8 @@ class CartTree:
     Leaf values are the target mean for regression and the majority class for
     classification, majority ties resolved to class 1.
 
-    ``fit`` sorts each feature once, with one stable argsort of the
-    (features x rows) transpose, and hands each child its parent's
+    ``fit`` sorts each feature once, in the order one stable argsort of the
+    (features x rows) transpose gives, and hands each child its parent's
     per-feature order with the other child's rows filtered out.  That is the
     order a fresh stable sort of the child's rows would give: a stable sort
     orders rows by value and equal values by row index, and the rows that
@@ -184,7 +185,13 @@ class CartTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CartTree":
         XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable")
+        # Without ties the ascending order is unique, so the faster default
+        # sort gives the stable order; with any (-0.0 == 0.0 counts) it may
+        # not, and the stable sort runs.
+        order = np.argsort(XT, axis=1)
+        xs = np.take_along_axis(XT, order, axis=1)
+        if (xs[:, 1:] == xs[:, :-1]).any():
+            order = np.argsort(XT, axis=1, kind="stable")
         self.root = self._grow(XT, y, np.arange(XT.shape[1]), order, 0)
         return self
 
@@ -316,7 +323,36 @@ class KnnModel:
         return cols[order[starts[:, None] + np.arange(k)]]
 
 
-class LinearSvr:
+class _LinearStack:
+    """Base of the full-batch linear learners: one dataset or a stack of them.
+
+    ``fit`` takes X of shape (n, f) with y of shape (n,), or a stack of R
+    datasets, X (R, n, f) with y (R, n).  One dataset trains as a stack of
+    one, so each learner has one epoch loop.  Each product in it is a stacked
+    ``np.matmul`` against (R, k, 1) views, which runs one BLAS gemv per slice
+    with the arguments a lone fit's gemv gets; the updates are elementwise and
+    the intercept sums are ``np.add.reduce(..., axis=1)``, the pairwise sum of
+    each row.  So every slice's weights and intercept have the bits of
+    fitting that slice alone.  After one dataset ``weights`` is (f,) and
+    ``intercept`` a float; after a stack they are (R, f) and (R,), and
+    ``predict`` takes a stack of the same R query sets.
+    """
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearStack":
+        if X.ndim == 2:
+            w, b = self._train(X[None], y[None])
+            self.weights, self.intercept = w[0], float(b[0])
+        else:
+            self.weights, self.intercept = self._train(X, y)
+        return self
+
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        """X @ w + b for each slice: (m,) for one query set, (R, m) for a stack."""
+        scores = np.matmul(X, self.weights[..., None])[..., 0]
+        return scores + np.asarray(self.intercept)[..., None]
+
+
+class LinearSvr(_LinearStack):
     """Linear epsilon-insensitive regression trained by subgradient descent.
 
     Objective: 0.5 ||w||^2 + c * sum_i max(0, |w.x_i + b - y_i| - epsilon),
@@ -334,36 +370,37 @@ class LinearSvr:
         self.epochs = int(epochs)
         self.step = float(step)
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSvr":
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        r = np.empty(X.shape[0])
+    def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        stack, n, f = X.shape
+        w = np.zeros((stack, f))
+        b = np.zeros(stack)
+        r = np.empty((stack, n))
         s = np.empty_like(r)
-        outside = np.empty(X.shape[0], dtype=bool)
+        outside = np.empty(r.shape, dtype=bool)
         g = np.empty_like(w)
+        XT, w1, b1 = X.transpose(0, 2, 1), w[..., None], b[:, None]
+        r1, s1, g1 = r[..., None], s[..., None], g[..., None]
         for t in range(1, self.epochs + 1):
-            np.matmul(X, w, out=r)
-            r += b
+            np.matmul(X, w1, out=r1)
+            r += b1
             r -= y
             np.greater(np.abs(r, out=s), self.epsilon, out=outside)
             np.sign(r, out=s)
             s *= outside
             eta = self.step / math.sqrt(t)
-            np.matmul(X.T, s, out=g)
+            np.matmul(XT, s1, out=g1)
             g *= self.c
             g += w
             g *= eta
             w -= g
-            b -= eta * self.c * float(np.add.reduce(s))
-        self.weights = w
-        self.intercept = b
-        return self
+            b -= eta * self.c * np.add.reduce(s, axis=1)
+        return w, b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.intercept
+        return self._scores(X)
 
 
-class LinearSvc:
+class LinearSvc(_LinearStack):
     """Linear hinge-loss classifier trained by subgradient descent.
 
     Same schedule and buffering as the regressor; scores of exactly zero
@@ -375,36 +412,37 @@ class LinearSvc:
         self.epochs = int(epochs)
         self.step = float(step)
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSvc":
+    def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        stack, n, f = X.shape
         signed = 2.0 * y - 1.0
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        margins = np.empty(X.shape[0])
+        w = np.zeros((stack, f))
+        b = np.zeros(stack)
+        margins = np.empty((stack, n))
         active = np.empty_like(margins)
-        inside = np.empty(X.shape[0], dtype=bool)
+        inside = np.empty(margins.shape, dtype=bool)
         g = np.empty_like(w)
+        XT, w1, b1 = X.transpose(0, 2, 1), w[..., None], b[:, None]
+        m1, a1, g1 = margins[..., None], active[..., None], g[..., None]
         for t in range(1, self.epochs + 1):
-            np.matmul(X, w, out=margins)
-            margins += b
+            np.matmul(X, w1, out=m1)
+            margins += b1
             margins *= signed
             np.less(margins, 1.0, out=inside)
             np.multiply(signed, inside, out=active)
             eta = self.step / math.sqrt(t)
-            np.matmul(X.T, active, out=g)
+            np.matmul(XT, a1, out=g1)
             g *= self.c
             np.subtract(w, g, out=g)
             g *= eta
             w -= g
-            b += eta * self.c * float(np.add.reduce(active))
-        self.weights = w
-        self.intercept = b
-        return self
+            b += eta * self.c * np.add.reduce(active, axis=1)
+        return w, b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (X @ self.weights + self.intercept >= 0.0).astype(np.float64)
+        return (self._scores(X) >= 0.0).astype(np.float64)
 
 
-class LogisticClassifier:
+class LogisticClassifier(_LinearStack):
     """Binary logistic regression by full-batch gradient descent.
 
     Probability ties at 0.5 predict class 1, so the zero-weight model labels
@@ -419,29 +457,29 @@ class LogisticClassifier:
         self.iterations = int(iterations)
         self.step = float(step)
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticClassifier":
-        n = X.shape[0]
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        z = np.empty(n)
-        gap = np.empty(n)
+    def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        stack, n, f = X.shape
+        w = np.zeros((stack, f))
+        b = np.zeros(stack)
+        z = np.empty((stack, n))
+        gap = np.empty_like(z)
         g = np.empty_like(w)
+        XT, w1, b1 = X.transpose(0, 2, 1), w[..., None], b[:, None]
+        z1, gap1, g1 = z[..., None], gap[..., None], g[..., None]
         for _ in range(self.iterations):
-            np.matmul(X, w, out=z)
-            z += b
+            np.matmul(X, w1, out=z1)
+            z += b1
             _sigmoid(z, out=gap)
             gap -= y
-            np.matmul(X.T, gap, out=g)
+            np.matmul(XT, gap1, out=g1)
             g *= self.step
             g /= n
             w -= g
-            b -= self.step * (float(np.add.reduce(gap)) / n)
-        self.weights = w
-        self.intercept = b
-        return self
+            b -= self.step * (np.add.reduce(gap, axis=1) / n)
+        return w, b
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ self.weights + self.intercept)
+        return _sigmoid(self._scores(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.float64)
@@ -571,6 +609,9 @@ class ModelEntry(NamedTuple):
 
     generator: str
     build: Callable[[int], object]  # build(seed) -> learner with the fixed hyperparameters
+    # Fits and predicts a stack of R datasets, (R, n, f), in one call.  Such a
+    # learner's build ignores the seed, so a stacked call's spec needs none.
+    stacked: bool = False
 
     @property
     def task(self) -> str:
@@ -583,11 +624,15 @@ MODELS: Dict[str, ModelEntry] = {
     "olsr": ModelEntry("linear", lambda seed: OlsRegressor()),
     "dtr": ModelEntry("friedman1", lambda seed: CartTree(10, 80, classification=False)),
     "knnr": ModelEntry("friedman1", lambda seed: KnnModel(5, classification=False)),
-    "lsvr": ModelEntry("linear", lambda seed: LinearSvr(0.1, c=1.0, epochs=200, step=1e-3)),
-    "blrc": ModelEntry("two_class", lambda seed: LogisticClassifier(500, step=0.1)),
+    "lsvr": ModelEntry(
+        "linear", lambda seed: LinearSvr(0.1, c=1.0, epochs=200, step=1e-3), stacked=True
+    ),
+    "blrc": ModelEntry("two_class", lambda seed: LogisticClassifier(500, step=0.1), stacked=True),
     "dtc": ModelEntry("two_class", lambda seed: CartTree(10, 80, classification=True)),
     "knnc": ModelEntry("two_class", lambda seed: KnnModel(5, classification=True)),
-    "lsvc": ModelEntry("two_class", lambda seed: LinearSvc(c=1.0, epochs=200, step=1e-3)),
+    "lsvc": ModelEntry(
+        "two_class", lambda seed: LinearSvc(c=1.0, epochs=200, step=1e-3), stacked=True
+    ),
     "mlpc": ModelEntry("two_class", lambda seed: MlpClassifier(32, 300, 0.05, 0.5, seed)),
 }
 MODEL_KINDS: Tuple[str, ...] = tuple(MODELS)
@@ -597,9 +642,12 @@ CLASSIFICATION_KINDS: Tuple[str, ...] = tuple(
 )
 
 
-def _check_features(features: np.ndarray) -> np.ndarray:
+def _check_features(features: np.ndarray, kind: str) -> np.ndarray:
+    """The features as float64: one (n, f) matrix, or an (R, n, f) stack for a stacked kind."""
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+    if X.ndim == 3 and not MODELS[kind].stacked:
+        raise DomainError(f"{kind} takes one feature matrix, not a stack of them")
+    if X.ndim not in (2, 3) or 0 in X.shape:
         raise DomainError("features must be a non-empty matrix")
     if not np.all(np.isfinite(X)):
         raise DomainError("features must all be finite")
@@ -607,10 +655,14 @@ def _check_features(features: np.ndarray) -> np.ndarray:
 
 
 def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedModel:
-    """Train the learner named by the spec; deterministic given spec.seed."""
-    X = _check_features(features)
+    """Train the learner named by the spec; deterministic given spec.seed.
+
+    A kind marked ``stacked`` in `MODELS` also takes a stack of R datasets,
+    features (R, n, f) and targets (R, n), and trains one model per slice.
+    """
+    X = _check_features(features, spec.kind)
     y = np.asarray(targets, dtype=np.float64)
-    if y.ndim != 1 or y.size != X.shape[0]:
+    if y.shape != X.shape[:-1]:
         raise DomainError("targets must be one value per feature row")
     if not np.all(np.isfinite(y)):
         raise DomainError("targets must all be finite")
@@ -618,14 +670,23 @@ def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedMo
     if entry.task == CLASSIFICATION and not set(np.unique(y)) <= {0.0, 1.0}:
         raise DomainError("classification targets must be 0/1 labels")
     impl = entry.build(spec.seed).fit(X, y)
-    return TrainedModel(spec=spec, n_features=X.shape[1], impl=impl)
+    return TrainedModel(spec=spec, n_features=X.shape[-1], impl=impl, stack=X.shape[:-2])
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Predict with a trained model; column count must match training."""
-    X = _check_features(features)
-    if X.shape[1] != model.n_features:
+    """Predict with a trained model; column count must match training.
+
+    A model fitted on a stack of R datasets predicts a stack of R query sets,
+    slice by slice.
+    """
+    X = _check_features(features, model.spec.kind)
+    if X.shape[-1] != model.n_features:
         raise DomainError(
-            f"model was trained on {model.n_features} features, got {X.shape[1]}"
+            f"model was trained on {model.n_features} features, got {X.shape[-1]}"
         )
+    if X.shape[:-2] != model.stack:
+        def sets(stack):
+            return f"a stack of {stack[0]} datasets" if stack else "one dataset"
+
+        raise DomainError(f"model was trained on {sets(model.stack)}, got {sets(X.shape[:-2])}")
     return model.impl.predict(X)

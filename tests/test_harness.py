@@ -250,10 +250,13 @@ class TestTracerContract:
         cfg = ExperimentConfig(master_seed=3, out_dir=str(tmp_path), **FOUR_REGRESSORS)
         assert all(r.complete for r in harness.run_experiment(cfg))
         calls = Counter(span.name for span in tracer.spans)
-        cells = len(cfg.ddr_grid) * cfg.tuples_per_grid_point
+        points = len(cfg.ddr_grid)
+        cells = points * cfg.tuples_per_grid_point
         for kind in REGRESSORS:
-            assert calls[f"models.fit.{kind}"] == cells
-            assert calls[f"models.predict.{kind}"] == 2 * cells
+            # lsvr trains once per grid point, over the stack of replicates.
+            fits = points if kind == "lsvr" else cells
+            assert calls[f"models.fit.{kind}"] == fits
+            assert calls[f"models.predict.{kind}"] == 2 * fits
         assert not [name for name in calls if name.startswith("unlabelled.")]
         assert tracer.uncalled() == ["GENERATORS[two_class]", "f1_score"]
 
@@ -304,8 +307,9 @@ class TestSharedWork:
         assert calls["linear"] == calls["friedman1"] == points * reps
         assert calls["two_class"] == 0
         assert calls["noise"] == 2 * points * reps
-        for kind in REGRESSORS:
+        for kind in ("olsr", "dtr", "knnr"):
             assert calls[kind] == points * reps
+        assert calls["lsvr"] == points  # one fit over the replicate stack
 
     def test_shared_arrays_read_only(self, monkeypatch):
         seen = []
@@ -319,13 +323,23 @@ class TestSharedWork:
         monkeypatch.setenv("DDRBENCH_THREADS", "1")
         cfg = ExperimentConfig(task=REGRESSION, models=("olsr", "lsvr"), master_seed=3, **SMALL)
         assert all(r.complete for r in run_experiment(cfg))
-        assert [kind for kind, _, _ in seen[:2]] == ["olsr", "lsvr"]
-        # Both models on one dataset are handed the very same arrays.
-        assert seen[0][1] is seen[1][1] and seen[0][2] is seen[1][2]
+        reps = cfg.tuples_per_grid_point
+        # Per grid point: olsr on each replicate's arrays, then lsvr on their stack.
+        assert [kind for kind, _, _ in seen[: reps + 1]] == ["olsr"] * reps + ["lsvr"]
+        olsr = seen[:reps]
+        _, X_stack, y_stack = seen[reps]
+        assert X_stack.shape == (reps, *olsr[0][1].shape)
+        # The stack's slices hold the very bytes olsr was handed.
+        for ri, (_, X, y) in enumerate(olsr):
+            assert X_stack[ri].tobytes() == X.tobytes() and y_stack[ri].tobytes() == y.tobytes()
         for _, X, y in seen:
             assert not X.flags.writeable and not y.flags.writeable
+        for ri in range(reps):
+            assert not X_stack[ri].flags.writeable and not y_stack[ri].flags.writeable
         with pytest.raises(ValueError):
             seen[0][1][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            X_stack[0, 0, 0] = 0.0
 
     def test_fit_failure_fails_only_its_cell(self, monkeypatch):
         clean = {r.model: report_payload(r) for r in run_experiment(self.CFG)}
@@ -362,6 +376,58 @@ class TestSharedWork:
                 f"{kind} at ddr=0.5 rep=1: synthetic datagen failure",
             )
         for kind in ("olsr", "lsvr"):
+            assert report_payload(reports[kind]) == clean[kind]
+
+    def test_linear_failure_drops_its_replicate_from_the_stack(self, monkeypatch):
+        clean = {r.model: report_payload(r) for r in run_experiment(self.CFG)}
+        bad_state = make_rng(_cell_seed(self.CFG, 0.5, 1, "datagen")).bit_generator.state
+        original = harness.GENERATORS["linear"]
+
+        def failing(n_samples, n_features, rng):
+            if rng.bit_generator.state == bad_state:
+                raise DomainError("synthetic datagen failure")
+            return original(n_samples, n_features, rng)
+
+        stacks = []
+        original_fit = harness.fit
+
+        def recording(spec, X, y):
+            if spec.kind == "lsvr":
+                stacks.append(X.shape[0])
+            return original_fit(spec, X, y)
+
+        monkeypatch.setitem(harness.GENERATORS, "linear", failing)
+        monkeypatch.setattr("ddrbench.harness.fit", recording)
+        monkeypatch.setenv("DDRBENCH_THREADS", "1")
+        reports = {r.model: r for r in run_experiment(self.CFG)}
+        for kind in ("olsr", "lsvr"):
+            assert reports[kind].incomplete_cells == (
+                f"{kind} at ddr=0.5 rep=1: synthetic datagen failure",
+            )
+        # At ddr 0.5 lsvr trains on the one replicate whose data was built.
+        assert stacks == [2, 1, 2]
+        for kind in ("dtr", "knnr"):
+            assert report_payload(reports[kind]) == clean[kind]
+
+    def test_stacked_fit_failure_fails_its_grid_point(self, monkeypatch):
+        clean = {r.model: report_payload(r) for r in run_experiment(self.CFG)}
+        original = harness.fit
+        lsvr_fits = []
+
+        def failing(spec, X, y):
+            if spec.kind == "lsvr":
+                lsvr_fits.append(X.shape)
+                if len(lsvr_fits) == 2:  # the grid point ddr = 0.5
+                    raise DomainError("synthetic stacked fit failure")
+            return original(spec, X, y)
+
+        monkeypatch.setattr("ddrbench.harness.fit", failing)
+        monkeypatch.setenv("DDRBENCH_THREADS", "1")
+        reports = {r.model: r for r in run_experiment(self.CFG)}
+        assert reports["lsvr"].incomplete_cells == tuple(
+            f"lsvr at ddr=0.5 rep={ri}: synthetic stacked fit failure" for ri in (0, 1)
+        )
+        for kind in ("olsr", "dtr", "knnr"):
             assert report_payload(reports[kind]) == clean[kind]
 
     def test_sampler_failure_fails_every_cell_at_its_point(self, monkeypatch):

@@ -81,6 +81,42 @@ class TestContracts:
         with pytest.raises(DomainError):
             fit(ModelSpec("blrc"), np.zeros((4, 2)), np.array([0.0, 1.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("kind", ["olsr", "dtr", "knnr", "mlpc"])
+    def test_stack_rejected_by_unstacked_kinds(self, kind):
+        X = make_rng(2).standard_normal((2, 40, 5))
+        y = (X[..., 0] > 0.0).astype(np.float64)
+        assert not MODELS[kind].stacked
+        with pytest.raises(DomainError, match=f"{kind} takes one feature matrix, not a stack"):
+            fit(ModelSpec(kind), X, y)
+        with pytest.raises(DomainError, match="not a stack"):
+            predict(fit(ModelSpec(kind), X[0], y[0]), X)
+
+    @pytest.mark.parametrize("kind", ["lsvr", "blrc", "lsvc"])
+    def test_stack_checked_as_a_whole(self, kind):
+        X = make_rng(3).standard_normal((3, 40, 5))
+        y = (X[..., 0] > 0.0).astype(np.float64)
+        assert MODELS[kind].stacked
+        model = fit(ModelSpec(kind), X, y)
+        assert model.stack == (3,) and model.n_features == 5
+        bad_x = X.copy()
+        bad_x[2, 7, 1] = np.nan
+        with pytest.raises(DomainError, match="features must all be finite"):
+            fit(ModelSpec(kind), bad_x, y)
+        bad_y = y.copy()
+        bad_y[1, 3] = np.inf if kind == "lsvr" else 2.0
+        with pytest.raises(DomainError):
+            fit(ModelSpec(kind), X, bad_y)
+        with pytest.raises(DomainError, match="one value per feature row"):
+            fit(ModelSpec(kind), X, y[:2])
+        with pytest.raises(DomainError, match="trained on 5 features, got 4"):
+            predict(model, X[..., :4])
+        # A stack of 3 models predicts a stack of 3 query sets, nothing else.
+        for Q in (X[:2], X[0]):
+            with pytest.raises(DomainError, match="trained on a stack of 3 datasets"):
+                predict(model, Q)
+        with pytest.raises(DomainError, match="trained on one dataset"):
+            predict(fit(ModelSpec(kind), X[0], y[0]), X)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_determinism(self, kind):
         if kind in REGRESSION_KINDS:
@@ -706,6 +742,52 @@ class TestLinearReferenceLoops:
         model = LinearSvc(**hp).fit(X, y)
         assert model.weights.tobytes() == w.tobytes()
         assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
+
+
+def stacked_case(stack, n, f, rounded, classification):
+    """A stack of ``stack`` noisy linear datasets of n rows and f columns, and queries.
+
+    Rounded features tie within columns and hold both -0.0 and 0.0.
+    """
+    rng = make_rng(10_000 * stack + 100 * n + f)
+    X = rng.standard_normal((stack, n, f))
+    if rounded:
+        X = np.round(X, 1)
+    y = X @ rng.uniform(-1.0, 1.0, f) + 0.3 * rng.standard_normal((stack, n))
+    if classification:
+        y = (y > 0.0).astype(np.float64)
+    return X, y, rng.standard_normal((stack, 13, f))
+
+
+STACKED = {
+    "lsvr": (LinearSvr, reference_lsvr_fit),
+    "lsvc": (LinearSvc, reference_lsvc_fit),
+    "blrc": (LogisticClassifier, reference_blrc_fit),
+}
+
+
+class TestStackedLinearFits:
+    """A stacked fit of R datasets against R lone fits of the reference loops."""
+
+    @pytest.mark.parametrize("kind", list(STACKED))
+    @pytest.mark.parametrize("stack", [1, 2, 5, 7])
+    @pytest.mark.parametrize("n", [2, 37, 800, 801])
+    @pytest.mark.parametrize("f", [1, 10, 17])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["raw", "rounded"])
+    def test_each_slice_matches_its_own_fit(self, kind, stack, n, f, rounded):
+        cls, reference = STACKED[kind]
+        hp = PINNED[kind][1]
+        X, y, Q = stacked_case(stack, n, f, rounded, kind != "lsvr")
+        model = cls(**hp).fit(X, y)
+        assert model.weights.shape == (stack, f) and model.intercept.shape == (stack,)
+        predictions = model.predict(Q)
+        assert predictions.shape == (stack, 13)
+        for r in range(stack):
+            w, b = reference(X[r], y[r], **hp)
+            assert model.weights[r].tobytes() == w.tobytes(), r
+            assert model.intercept[r].tobytes() == np.float64(b).tobytes(), r
+            alone = cls(**hp).fit(X[r], y[r])
+            assert predictions[r].tobytes() == alone.predict(Q[r]).tobytes(), r
 
 
 class TestSigmoid:
