@@ -5,7 +5,7 @@ Produces, under the chosen output directory:
   regression/ and classification/ with per-model curve CSVs and report JSONs,
   one accuracy-DDR plot per model, and per-task AUC summary tables + bar charts.
 
-About 15 s on 2 CPUs at the defaults (n=1000, d=10, 21 grid points, 5
+About 11 s on 2 CPUs at the defaults (n=1000, d=10, 21 grid points, 5
 replicates); pass --quick for a coarse smoke-scale sweep.
 """
 

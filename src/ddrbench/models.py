@@ -68,6 +68,8 @@ class OlsRegressor:
     Singular systems fall back to the minimum-norm solution.
     """
 
+    learned = ("weights", "intercept")
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "OlsRegressor":
         design = np.column_stack([X, np.ones(X.shape[0])])
         coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -338,6 +340,8 @@ class _LinearStack:
     ``predict`` takes a stack of the same R query sets.
     """
 
+    learned = ("weights", "intercept")
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearStack":
         if X.ndim == 2:
             w, b = self._train(X[None], y[None])
@@ -485,48 +489,24 @@ class LogisticClassifier(_LinearStack):
         return (self.predict_proba(X) >= 0.5).astype(np.float64)
 
 
-class _MlpWorkspace:
-    """The buffers one MLP epoch writes, allocated once per fit (C-order).
-
-    n x h: hidden activations, 1 - hidden^2 and the hidden delta.  Length n:
-    output scores, their sigmoid and the output delta.  One gradient array per
-    parameter.  For 800 samples, 10 features and 32 hidden units that is
-    about 0.6 MB.
-    """
-
-    __slots__ = ("hidden", "slope", "dz1", "z2", "sig", "dz2", "grads")
-
-    def __init__(self, n_samples: int, n_features: int, hidden_units: int):
-        self.hidden = np.empty((n_samples, hidden_units))
-        self.slope = np.empty((n_samples, hidden_units))
-        self.dz1 = np.empty((n_samples, hidden_units))
-        self.z2 = np.empty(n_samples)
-        self.sig = np.empty(n_samples)
-        self.dz2 = np.empty(n_samples)
-        self.grads = {
-            "w1": np.empty((n_features, hidden_units)),
-            "b1": np.empty(hidden_units),
-            "w2": np.empty(hidden_units),
-            "b2": np.empty(()),
-        }
-
-
 class MlpClassifier:
     """One hidden tanh layer, logistic output, mean cross-entropy loss.
 
-    Full-batch gradient descent with a fixed step; weights and biases start
-    i.i.d. U[-init_scale, init_scale] from the given seed.  The per-epoch
-    loss history is kept on the fitted model.
+    Full-batch gradient descent with a fixed step from i.i.d.
+    U[-init_scale, init_scale] weights and biases.  An epoch computes only
+    the gradients (no loss, no history); ``params`` are views into one flat
+    buffer, updated by g *= step and p -= g, so each is p - (step * g).
 
-    One epoch kernel, ``_epoch``, computes the loss and writes every gradient
-    into an ``_MlpWorkspace`` of buffers sized once per fit; ``fit`` then
-    updates the parameters in place.  The kernel keeps the operation order of
-    the plain formulas, because any reordering changes the fitted bits: the
-    output delta is (sigmoid(z2) - y) / n, the hidden delta is the outer
-    product dz2 w2^T times 1 - hidden^2, the bias gradient sums the rows of a
-    C-order delta one after another (numpy sums an F-order or transposed
-    buffer pairwise), and the update is p - (step * g).
+    The kernel ``_gradients`` keeps the plain formulas' operation order,
+    since any reordering changes the fitted bits.  ``einsum("i,j->ij")``
+    makes each element of the outer product dz2 w2^T one commutative
+    product, and ``einsum("ij->j")`` adds the rows of the C-order hidden
+    delta in order from zero, as ``np.sum(axis=0)`` does (it sums F-order
+    buffers pairwise); an all -0.0 column gives +0.0 from both.  Neither
+    ``einsum`` is optimized, so neither calls BLAS.
     """
+
+    learned = ("params",)
 
     def __init__(self, hidden_units: int, epochs: int, step: float, init_scale: float, seed: int):
         self.hidden_units = int(hidden_units)
@@ -536,41 +516,45 @@ class MlpClassifier:
         self.seed = int(seed)
 
     @staticmethod
-    def _epoch(
-        params: Dict[str, np.ndarray], X: np.ndarray, y: np.ndarray, ws: _MlpWorkspace
-    ) -> float:
-        """Mean cross-entropy at ``params``; its gradients go to ``ws.grads``."""
-        grads = ws.grads
-        hidden = np.matmul(X, params["w1"], out=ws.hidden)
+    def _buffers(n: int, h: int) -> list:
+        """An epoch's hidden, z2, dz2, dz1 and slope buffers, in ``_gradients`` order."""
+        return [np.empty(shape) for shape in ((n, h), n, n, (n, h), (n, h))]
+
+    @staticmethod
+    def _gradients(params, X, y, grads, hidden, z2, dz2, dz1, slope) -> None:
+        """Writes the loss gradients at ``params`` into ``grads``, the output
+        scores into ``z2``; the other buffers are scratch."""
+        np.matmul(X, params["w1"], out=hidden)
         hidden += params["b1"]
         np.tanh(hidden, out=hidden)
-        z2 = np.matmul(hidden, params["w2"], out=ws.z2)
+        np.matmul(hidden, params["w2"], out=z2)
         z2 += params["b2"]
-        terms = np.logaddexp(0.0, z2, out=ws.sig)
-        terms -= np.multiply(y, z2, out=ws.dz2)
-        loss = float(np.add.reduce(terms)) / terms.size
-        sig = _sigmoid(z2, out=ws.sig)
-        sig -= y
-        dz2 = np.divide(sig, X.shape[0], out=ws.dz2)
-        dz1 = np.multiply(dz2[:, None], params["w2"], out=ws.dz1)
-        slope = np.square(hidden, out=ws.slope)
+        _sigmoid(z2, out=dz2)
+        dz2 -= y
+        dz2 /= X.shape[0]
+        np.einsum("i,j->ij", dz2, params["w2"], out=dz1)
+        np.square(hidden, out=slope)
         np.subtract(1.0, slope, out=slope)
         dz1 *= slope
         np.matmul(X.T, dz1, out=grads["w1"])
-        np.sum(dz1, axis=0, out=grads["b1"])
+        np.einsum("ij->j", dz1, out=grads["b1"])
         np.matmul(hidden.T, dz2, out=grads["w2"])
         np.sum(dz2, out=grads["b2"])
-        return loss
+
+    @staticmethod
+    def _loss(z2: np.ndarray, y: np.ndarray) -> float:
+        """Mean cross-entropy of output scores ``z2`` against 0/1 labels ``y``."""
+        terms = np.logaddexp(0.0, z2)
+        terms -= y * z2
+        return float(np.add.reduce(terms)) / terms.size
 
     @staticmethod
     def loss_and_grads(params: Dict[str, np.ndarray], X: np.ndarray, y: np.ndarray):
-        """Mean cross-entropy and its analytic gradients for every parameter.
-
-        Pure: the gradients are fresh arrays and ``params`` is not modified.
-        """
-        ws = _MlpWorkspace(X.shape[0], X.shape[1], np.shape(params["b1"])[0])
-        loss = MlpClassifier._epoch(params, X, y, ws)
-        return loss, ws.grads
+        """Mean cross-entropy and its gradients as fresh arrays; ``params`` is not modified."""
+        grads = {name: np.empty(np.shape(value)) for name, value in params.items()}
+        buffers = MlpClassifier._buffers(X.shape[0], np.shape(params["b1"])[0])
+        MlpClassifier._gradients(params, X, y, grads, *buffers)
+        return MlpClassifier._loss(buffers[1], y), grads
 
     @staticmethod
     def init_params(n_features: int, hidden_units: int, init_scale: float, seed: int):
@@ -583,17 +567,20 @@ class MlpClassifier:
         }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MlpClassifier":
-        params = self.init_params(X.shape[1], self.hidden_units, self.init_scale, self.seed)
-        ws = _MlpWorkspace(X.shape[0], X.shape[1], self.hidden_units)
-        history = []
+        init = self.init_params(X.shape[1], self.hidden_units, self.init_scale, self.seed)
+        flat = np.concatenate([np.ravel(value) for value in init.values()])
+        flat_grads = np.empty_like(flat)
+        cuts = np.cumsum([value.size for value in init.values()])[:-1]
+        params, grads = (
+            {name: part.reshape(init[name].shape) for name, part in zip(init, np.split(b, cuts))}
+            for b in (flat, flat_grads)
+        )
+        buffers = self._buffers(X.shape[0], self.hidden_units)
         for _ in range(self.epochs):
-            history.append(self._epoch(params, X, y, ws))
-            for name, g in ws.grads.items():
-                g *= self.step
-                params[name] -= g
-        history.append(self._epoch(params, X, y, ws))
+            self._gradients(params, X, y, grads, *buffers)
+            flat_grads *= self.step
+            flat -= flat_grads
         self.params = params
-        self.loss_history = history
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -654,6 +641,14 @@ def _check_features(features: np.ndarray, kind: str) -> np.ndarray:
     return X
 
 
+def _finite_parameters(impl: object) -> bool:
+    """Whether every parameter a trainer names in ``learned`` is finite; kNN and
+    trees, which keep their data's own values, name none."""
+    learned = [getattr(impl, name) for name in getattr(impl, "learned", ())]
+    parts = [p for v in learned for p in (v.values() if isinstance(v, dict) else [v])]
+    return all(np.all(np.isfinite(p)) for p in parts)
+
+
 def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedModel:
     """Train the learner named by the spec; deterministic given spec.seed.
 
@@ -669,7 +664,11 @@ def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedMo
     entry = MODELS[spec.kind]
     if entry.task == CLASSIFICATION and not set(np.unique(y)) <= {0.0, 1.0}:
         raise DomainError("classification targets must be 0/1 labels")
-    impl = entry.build(spec.seed).fit(X, y)
+    # Non-finite parameters, not numpy's warnings, fail a diverged trainer.
+    with np.errstate(over="ignore", invalid="ignore"):
+        impl = entry.build(spec.seed).fit(X, y)
+    if not _finite_parameters(impl):
+        raise DomainError(f"{spec.kind} training diverged: a learned parameter is not finite")
     return TrainedModel(spec=spec, n_features=X.shape[-1], impl=impl, stack=X.shape[:-2])
 
 

@@ -117,6 +117,17 @@ class TestContracts:
         with pytest.raises(DomainError, match="trained on one dataset"):
             predict(fit(ModelSpec(kind), X[0], y[0]), X)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_diverged_fit_rejected(self, stacked):
+        # Scaled by 1e200, blrc's weights overflow to NaN.
+        X, y = gen_two_class(200, 5, make_rng(40))
+        if stacked:  # one diverged slice fails the whole stack
+            X, y = np.stack([X, 1e200 * X]), np.stack([y, y])
+        else:
+            X = 1e200 * X
+        with pytest.raises(DomainError, match="blrc training diverged"):
+            fit(ModelSpec("blrc"), X, y)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_determinism(self, kind):
         if kind in REGRESSION_KINDS:
@@ -450,10 +461,48 @@ class TestMlp:
     def test_loss_non_increasing(self):
         X, y = gen_two_class(200, 5, make_rng(18))
         model = fit(ModelSpec("mlpc", seed=19), X, y)
-        history = model.impl.loss_history
+        params, history = reference_mlp_fit(X, y, seed=19, **MLPC)
         assert len(history) == 301
         worst = max(b - a for a, b in zip(history, history[1:]))
         assert worst <= 1e-6
+        for name, value in params.items():
+            assert model.impl.params[name].tobytes() == np.asarray(value).tobytes(), name
+
+    def test_fit_keeps_no_loss_history(self, monkeypatch):
+        X, y = gen_two_class(200, 5, make_rng(18))
+
+        def no_loss(*args):
+            raise AssertionError("fit evaluated the loss")
+
+        monkeypatch.setattr(MlpClassifier, "_loss", staticmethod(no_loss))
+        model = fit(ModelSpec("mlpc", seed=19), X, y)
+        assert not hasattr(model.impl, "loss_history")
+        with pytest.raises(AssertionError, match="fit evaluated the loss"):
+            MlpClassifier.loss_and_grads(model.impl.params, X, y)
+
+    def test_flat_parameter_buffer(self):
+        X, y = gen_two_class(60, 3, make_rng(36))
+        params = MlpClassifier(seed=37, **MLPC).fit(X, y).params
+        shapes = {"w1": (3, 32), "b1": (32,), "w2": (32,), "b2": ()}
+        assert {name: value.shape for name, value in params.items()} == shapes
+        flat = params["w1"].base
+        assert flat.shape == (3 * 32 + 32 + 32 + 1,)
+        assert all(value.base is flat for value in params.values())
+        assert np.concatenate([np.ravel(v) for v in params.values()]).tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("data", ["random", "negative-zero-column", "one-row", "one-column"])
+    def test_bias_row_sum_matches_np_sum(self, data):
+        # The bias gradient's einsum adds a C-order delta's rows as np.sum(axis=0) does.
+        rng = make_rng(38)
+        shape = {"one-row": (1, 32), "one-column": (800, 1)}.get(data, (800, 32))
+        dz1 = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        if data == "negative-zero-column":
+            dz1[:, 5] = -0.0
+        out = np.empty(shape[1])
+        np.einsum("ij->j", dz1, out=out)
+        assert out.tobytes() == np.sum(dz1, axis=0).tobytes()
+        if data == "negative-zero-column":
+            assert not np.signbit(out[5])
 
     def test_learns_separable_data(self):
         X, y = gen_two_class(400, 4, make_rng(20), class_sep=3.0)
@@ -528,6 +577,11 @@ def trainer_case(case):
     if case == "saturated":
         X, y = gen_two_class(200, 4, make_rng(32))
         return 50.0 * X, y, MLPC, BLRC
+    if case == "saturated-unit":
+        # A constant column of 200 pins some hidden units at tanh = +-1 on
+        # every row, so their whole column of the hidden delta is +-0.
+        X, y = gen_two_class(200, 4, make_rng(39))
+        return np.column_stack([X, np.full(200, 200.0)]), y, MLPC, BLRC
     raise ValueError(case)
 
 
@@ -535,8 +589,10 @@ TRAINER_CASES = [
     "two_class-60x3",
     "two_class-200x5",
     "two_class-800x10",
+    "two_class-798x10",
     "one-unit-one-epoch-one-feature",
     "saturated",
+    "saturated-unit",
 ]
 
 
@@ -546,14 +602,14 @@ class TestTrainerReferenceLoops:
     @pytest.mark.parametrize("case", TRAINER_CASES)
     def test_mlpc_matches_reference(self, case):
         X, y, hp, _ = trainer_case(case)
-        params, history = reference_mlp_fit(X, y, seed=33, **hp)
+        params, _ = reference_mlp_fit(X, y, seed=33, **hp)
         model = MlpClassifier(seed=33, **hp).fit(X, y)
-        assert len(model.loss_history) == hp["epochs"] + 1
-        assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
         for name, value in params.items():
             assert np.asarray(model.params[name]).tobytes() == np.asarray(value).tobytes(), name
         if case == "saturated":
             assert np.max(np.abs(X @ params["w1"] + params["b1"])) > 40.0
+        if case == "saturated-unit":
+            assert np.all(np.abs(np.tanh(X @ params["w1"] + params["b1"])) == 1.0, axis=0).any()
 
     @pytest.mark.parametrize("case", TRAINER_CASES)
     def test_blrc_matches_reference(self, case):
