@@ -649,6 +649,16 @@ def _finite_parameters(impl: object) -> bool:
     return all(np.all(np.isfinite(p)) for p in parts)
 
 
+def _check_row_norms(kind: str, impl: object, X: np.ndarray) -> None:
+    """kNN ranks rows by squared distance, which a row whose squared norm
+    overflows (entries past about 1e154) does not have."""
+    if isinstance(impl, KnnModel):
+        with np.errstate(over="ignore"):
+            finite = np.all(np.isfinite(np.sum(np.square(X), axis=-1)))
+        if not finite:
+            raise DomainError(f"{kind}: a feature row's squared norm overflows")
+
+
 def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedModel:
     """Train the learner named by the spec; deterministic given spec.seed.
 
@@ -664,9 +674,11 @@ def fit(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> TrainedMo
     entry = MODELS[spec.kind]
     if entry.task == CLASSIFICATION and not set(np.unique(y)) <= {0.0, 1.0}:
         raise DomainError("classification targets must be 0/1 labels")
+    impl = entry.build(spec.seed)
+    _check_row_norms(spec.kind, impl, X)
     # Non-finite parameters, not numpy's warnings, fail a diverged trainer.
     with np.errstate(over="ignore", invalid="ignore"):
-        impl = entry.build(spec.seed).fit(X, y)
+        impl.fit(X, y)
     if not _finite_parameters(impl):
         raise DomainError(f"{spec.kind} training diverged: a learned parameter is not finite")
     return TrainedModel(spec=spec, n_features=X.shape[-1], impl=impl, stack=X.shape[:-2])
@@ -688,4 +700,5 @@ def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
             return f"a stack of {stack[0]} datasets" if stack else "one dataset"
 
         raise DomainError(f"model was trained on {sets(model.stack)}, got {sets(X.shape[:-2])}")
+    _check_row_norms(model.spec.kind, model.impl, X)
     return model.impl.predict(X)

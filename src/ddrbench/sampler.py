@@ -6,11 +6,23 @@ the convex slice {s in [0,1]^n : sum(s) = n R^2}; a hit-and-run chain walks
 the slice by sampling uniformly along random chords, which makes the squared
 tuples asymptotically uniform.  No correction is applied for the fact that
 the r-tuples themselves are then not uniform.
+
+A step's only random inputs are one ``standard_normal(n)`` and one
+``uniform(lo, hi)``, which numpy computes as ``lo + (hi - lo) * random()``;
+neither depends on the chain's state unless the step retries.  So the chain
+draws its stream ahead, in blocks of at most ``_BLOCK_VALUES`` normals and in
+the order the steps would draw it, centres and normalises a block's
+directions in a few array calls, and then steps on Python floats.  If a
+direction norm or a chord would have forced a redraw, it restores the
+generator to its state at entry and runs the chain one `_step` at a time,
+which draws as it goes.  Both give the same bits and leave the generator in
+the same state.
 """
 
 from __future__ import annotations
 
 import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +37,10 @@ _MAX_DIRECTION_RETRIES = 100
 BURN_IN = 1000
 THINNING = 10
 
+# Normals per pre-drawn block (32 KB), so the buffers do not grow with the
+# number of tuples.
+_BLOCK_VALUES = 4096
+
 
 def _direction(n: int, rng: RandomSource) -> np.ndarray:
     """A random unit direction whose components sum to zero, so steps stay on the slice."""
@@ -38,45 +54,148 @@ def _direction(n: int, rng: RandomSource) -> np.ndarray:
     raise SamplerError("could not draw a usable in-slice direction")
 
 
+def _chord(coords: List[float], d: List[float]) -> Tuple[float, float]:
+    """The lambda interval of {coords + lam * d} inside every box face."""
+    lo, hi = -math.inf, math.inf
+    for si, di in zip(coords, d):
+        # 0 - si <= 1 - si, so the face bounds come ordered by the sign of di.
+        if di > 1e-16:
+            a = (0.0 - si) / di
+            b = (1.0 - si) / di
+        elif di < -1e-16:
+            a = (1.0 - si) / di
+            b = (0.0 - si) / di
+        else:
+            continue
+        if a > lo:
+            lo = a
+        if b < hi:
+            hi = b
+    return lo, hi
+
+
+def _moved(coords: List[float], d: List[float], lam: float, total: float) -> List[float]:
+    """coords + lam * d clipped into the box, with the (tiny) sum error spread
+    evenly so the slice equation keeps holding to machine precision.
+
+    Each clip is np.clip(v, 0.0, 1.0) on one float, keeping -0.0 as numpy does.
+    """
+    x = [si + lam * di for si, di in zip(coords, d)]
+    x = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
+    shift = (total - _pairwise_sum(x)) / len(x)
+    x = [xi + shift for xi in x]
+    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
+
+
+def _pairwise_sum(x: List[float]) -> float:
+    """float(np.add.reduce(np.array(x))), bit for bit: numpy's pairwise sum.
+
+    Under 8 values numpy adds them in order.  Up to 128 it keeps 8 running
+    sums of the strided values, joins them as a tree and adds the rest in
+    order; beyond that it splits at a multiple of 8 near the middle.
+    """
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        v0, v1, v2, v3, v4, v5, v6, v7 = x[i : i + 8]
+        r0 += v0
+        r1 += v1
+        r2 += v2
+        r3 += v3
+        r4 += v4
+        r5 += v5
+        r6 += v6
+        r7 += v7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in x[whole:]:
+        total += v
+    return total
+
+
 def _step(s: np.ndarray, total: float, rng: RandomSource) -> np.ndarray:
     """One hit-and-run step: a uniform point on the chord along a random direction.
 
     The coordinate arithmetic runs on Python floats: on a few dozen
     coordinates that is cheaper than the numpy calls it replaces, and each
     operation rounds as its numpy counterpart did, so the chain's bits are
-    unchanged.  Only the sum of the clipped point stays a numpy reduction,
-    whose pairwise order a Python loop would not reproduce.
+    unchanged.
     """
     coords = s.tolist()
     for _ in range(_MAX_DIRECTION_RETRIES):
         d = _direction(s.size, rng).tolist()
-        # The chord is the lambda interval of {s + lam * d} inside every box face.
-        lo, hi = -math.inf, math.inf
-        for si, di in zip(coords, d):
-            if abs(di) > 1e-16:
-                a = (0.0 - si) / di
-                b = (1.0 - si) / di
-                if a > b:
-                    a, b = b, a
-                if a > lo:
-                    lo = a
-                if b < hi:
-                    hi = b
+        lo, hi = _chord(coords, d)
         if not math.isfinite(lo) or not math.isfinite(hi):
             raise SamplerError("direction is parallel to every box face")
         if hi - lo > _MIN_CHORD:
-            lam = rng.uniform(lo, hi)
-            # Clip into the box, then spread the (tiny) sum error evenly so the
-            # slice equation keeps holding to machine precision.
-            x = [_clip(si + lam * di) for si, di in zip(coords, d)]
-            shift = (total - float(np.array(x).sum())) / s.size
-            return np.array([_clip(xi + shift) for xi in x])
+            return np.array(_moved(coords, d, rng.uniform(lo, hi), total))
     raise SamplerError("no chord of positive length after bounded retries")
 
 
-def _clip(v: float) -> float:
-    """np.clip(v, 0.0, 1.0) on one float."""
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+def _drawn_chain(
+    s: np.ndarray, total: float, count: int, rng: RandomSource
+) -> Optional[np.ndarray]:
+    """The states `_stepped_chain` keeps, from a stream drawn ahead; None where
+    a step would have redrawn its direction or chord."""
+    n = s.size
+    coords = s.tolist()
+    states = np.empty((count, n))
+    normal, uniform = rng.standard_normal, rng.random
+    done, steps = 0, BURN_IN + THINNING * count
+    while done < steps:
+        directions = np.empty((min(max(1, _BLOCK_VALUES // n), steps - done), n))
+        draws = []
+        for d in directions:
+            normal(out=d)
+            draws.append(uniform())
+        # What `_direction` does to each row, with its bits: a row-wise
+        # add.reduce is each row's pairwise sum, and a stacked matmul of a
+        # row by itself runs the ddot that d.dot(d) runs.
+        directions -= (np.add.reduce(directions, axis=1) / n)[:, None]
+        norms = np.sqrt(np.matmul(directions[:, None, :], directions[:, :, None]).ravel())
+        if not np.all(norms > 1e-12):
+            return None
+        directions /= norms[:, None]
+        for d, u in zip(directions.tolist(), draws):
+            lo, hi = _chord(coords, d)
+            if not _MIN_CHORD < hi - lo < math.inf:
+                return None
+            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random().
+            coords = _moved(coords, d, lo + (hi - lo) * u, total)
+            done += 1
+            if done > BURN_IN and (done - BURN_IN) % THINNING == 0:
+                states[(done - BURN_IN) // THINNING - 1] = coords
+    return states
+
+
+def _stepped_chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:
+    """The chain's thinned states, one `_step` at a time."""
+    for _ in range(BURN_IN):
+        s = _step(s, total, rng)
+    states = np.empty((count, s.size))
+    for row in states:
+        for _ in range(THINNING):
+            s = _step(s, total, rng)
+        row[:] = s
+    return states
+
+
+def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:
+    """The (count, n) states the chain from s keeps: after BURN_IN steps, then every THINNING."""
+    entry = rng.bit_generator.state
+    states = _drawn_chain(s, total, count, rng)
+    if states is None:
+        rng.bit_generator.state = entry
+        states = _stepped_chain(s, total, count, rng)
+    return states
 
 
 def sample_ddr_tuples(n: int, target: float, count: int, rng: RandomSource) -> np.ndarray:
@@ -100,14 +219,7 @@ def sample_ddr_tuples(n: int, target: float, count: int, rng: RandomSource) -> n
     if n == 1 or total == 0.0 or total == float(n):
         tuples = np.full((count, n), float(big_r))
     else:
-        s = np.full(n, big_r * big_r)
-        for _ in range(BURN_IN):
-            s = _step(s, total, rng)
-        tuples = np.empty((count, n))
-        for row in tuples:
-            for _ in range(THINNING):
-                s = _step(s, total, rng)
-            np.sqrt(s, out=row)
+        tuples = np.sqrt(_chain(np.full(n, big_r * big_r), total, count, rng))
     residual = float(np.max(np.abs(np.sum(np.square(tuples), axis=1) - total)))
     if not (residual <= 1e-9 and np.all((tuples >= 0.0) & (tuples <= 1.0))):
         raise SamplerError(

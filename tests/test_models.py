@@ -128,6 +128,32 @@ class TestContracts:
         with pytest.raises(DomainError, match="blrc training diverged"):
             fit(ModelSpec("blrc"), X, y)
 
+    @pytest.mark.parametrize("kind", ["knnc", "knnr"])
+    def test_overflowing_row_norms_rejected(self, kind):
+        # Scaled by 1e200, every row's squared norm overflows; the kernel
+        # would rank the inf/NaN distances and the sweep would score them.
+        X, y = gen_two_class(200, 5, make_rng(41))
+        with pytest.raises(DomainError, match=f"{kind}: a feature row's squared norm overflows"):
+            fit(ModelSpec(kind), 1e200 * X, y)
+        model = fit(ModelSpec(kind), X, y)
+        with pytest.raises(DomainError, match=f"{kind}: a feature row's squared norm overflows"):
+            predict(model, 1e200 * X)
+        one_row = X.copy()
+        one_row[7] *= 1e200
+        with pytest.raises(DomainError, match=kind):
+            fit(ModelSpec(kind), one_row, y)
+        with pytest.raises(DomainError, match=kind):
+            predict(model, one_row)
+
+    @pytest.mark.parametrize("kind", ["knnc", "knnr"])
+    def test_large_finite_row_norms_accepted(self, kind):
+        # At 2**500 (about 3e150) the squared norms stay finite, and scaling
+        # by a power of two scales every distance exactly, so no neighbour moves.
+        X, y = gen_two_class(200, 5, make_rng(41))
+        expected = predict(fit(ModelSpec(kind), X, y), X)
+        scale = 2.0**500
+        assert np.array_equal(predict(fit(ModelSpec(kind), scale * X, y), scale * X), expected)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_determinism(self, kind):
         if kind in REGRESSION_KINDS:

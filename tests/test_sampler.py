@@ -119,6 +119,90 @@ class TestStepBits:
             assert outcome(_step, seed) == outcome(numpy_step, seed)
 
 
+def chain_tuples(step, n, big_r, count, rng):
+    """The tuples of a chain that draws as it steps, one `step` at a time."""
+    total = n * big_r * big_r
+    s = np.full(n, big_r * big_r)
+    for _ in range(sampler.BURN_IN):
+        s = step(s, total, rng)
+    rows = []
+    for _ in range(count):
+        for _ in range(sampler.THINNING):
+            s = step(s, total, rng)
+        rows.append(np.sqrt(s))
+    return np.array(rows)
+
+
+def chain_outcome(chain, rng):
+    """A chain's tuple bytes or error message, and the generator state it leaves."""
+    try:
+        result = chain(rng).tobytes()
+    except SamplerError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+# Enough tuples that every chain below spans more than one pre-drawn block.
+LONG_COUNT = 420
+
+
+class TestDrawnChain:
+    def test_long_count_spans_blocks(self):
+        steps = sampler.BURN_IN + sampler.THINNING * LONG_COUNT
+        assert steps > sampler._BLOCK_VALUES // 2  # rows per block at n = 2
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 50, 200])
+    @pytest.mark.parametrize("big_r", [1e-3, 0.4, 0.999])
+    @pytest.mark.parametrize("count", [1, 5, LONG_COUNT])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_stepped_chain(self, monkeypatch, n, big_r, count, seed):
+        ref, ours = make_rng(seed), make_rng(seed)
+        expected = chain_tuples(_step, n, big_r, count, ref)
+
+        def no_step(s, total, rng):
+            raise AssertionError("the pre-drawn chain fell back to _step")
+
+        monkeypatch.setattr(sampler, "_step", no_step)
+        got = sample_ddr_tuples(n, big_r, count, ours)
+        assert got.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, big_r, min_chord, fails",
+        [
+            (3, 0.5, 0.3, False),
+            (10, 0.7, 0.3, False),
+            (5, 0.3, 0.07, False),
+            (3, 0.5, 10.0, True),
+            (2, 0.9, 0.6, True),
+        ],
+        ids=["n3-some", "n10-some", "n5-some", "n3-every", "n2-every"],
+    )
+    def test_retrying_chain_matches_numpy_steps(self, monkeypatch, n, big_r, min_chord, fails):
+        # With chords this long required, some steps (or every step) retry,
+        # so the pre-drawn stream is wrong from there on and the chain must
+        # restart from the generator state at entry, one `_step` at a time.
+        monkeypatch.setattr(sampler, "_MIN_CHORD", min_chord)
+        expected = chain_outcome(
+            lambda rng: chain_tuples(numpy_step, n, big_r, 5, rng), make_rng(6)
+        )
+        steps = []
+        step = sampler._step
+        monkeypatch.setattr(sampler, "_step", lambda *args: steps.append(1) or step(*args))
+        got = chain_outcome(lambda rng: sample_ddr_tuples(n, big_r, 5, rng), make_rng(6))
+        assert got == expected
+        assert isinstance(got[0], str) == fails  # "no chord ... after bounded retries"
+        assert steps  # the fallback ran
+
+    def test_pairwise_sum_matches_numpy(self):
+        # Lengths on both sides of numpy's 8-value unroll and 128-value block.
+        rng = make_rng(3)
+        for n in [*range(1, 300), 1000, 5000]:
+            for scale in (1.0, 1e-300, 1e300):
+                x = scale * rng.standard_normal(n) * rng.uniform(0.0, 1e3, n)
+                assert sampler._pairwise_sum(x.tolist()) == float(np.add.reduce(x)), (n, scale)
+
+
 class TestSampleDdrTuples:
     def test_single_column_forced(self):
         tuples = sample_ddr_tuples(1, 0.6, 3, make_rng(5))
@@ -212,12 +296,14 @@ class TestArrayContract:
     @pytest.mark.parametrize(
         "off_slice",
         [
-            lambda s, total, rng: s + 1e-3,  # drifts off the sum constraint
-            lambda s, total, rng: np.array([0.0, 2.0, 1.0]) * total / 3,  # on the sum, off the box
+            # drifts off the sum constraint
+            lambda s, total, count, rng: np.tile(s + 1e-3, (count, 1)),
+            # on the sum, off the box
+            lambda s, total, count, rng: np.tile(np.array([0.0, 2.0, 1.0]) * total / 3, (count, 1)),
         ],
         ids=["sum-drift", "outside-box"],
     )
     def test_off_slice_chain_raises(self, monkeypatch, off_slice):
-        monkeypatch.setattr(sampler, "_step", off_slice)
+        monkeypatch.setattr(sampler, "_chain", off_slice)
         with pytest.raises(SamplerError):
             sample_ddr_tuples(3, 0.8, 2, make_rng(2))
