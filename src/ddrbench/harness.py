@@ -108,6 +108,11 @@ class ExperimentConfig:
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise ConfigError("ddr grid must start at 0 and end at 1")
         object.__setattr__(self, "ddr_grid", grid)
+        for name in ("n_samples", "n_features", "tuples_per_grid_point", "master_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError(f"master_seed must be in [0, 2**64), not {self.master_seed}")
         if self.tuples_per_grid_point < 1:
             raise ConfigError("tuples_per_grid_point must be >= 1")
         if self.n_samples < 4 or self.n_features < 1:

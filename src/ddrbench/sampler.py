@@ -7,22 +7,21 @@ the slice by sampling uniformly along random chords, which makes the squared
 tuples asymptotically uniform.  No correction is applied for the fact that
 the r-tuples themselves are then not uniform.
 
-A step's only random inputs are one ``standard_normal(n)`` and one
-``uniform(lo, hi)``, which numpy computes as ``lo + (hi - lo) * random()``;
-neither depends on the chain's state unless the step retries.  So the chain
-draws its stream ahead, in blocks of at most ``_BLOCK_VALUES`` normals and in
-the order the steps would draw it, centres and normalises a block's
-directions in a few array calls, and then steps on Python floats.  If a
-direction norm or a chord would have forced a redraw, it restores the
-generator to its state at entry and runs the chain one `_step` at a time,
-which draws as it goes.  Both give the same bits and leave the generator in
-the same state.
+A step draws a ``standard_normal(n)`` row, centres and normalises it, and
+draws another while the norm is at most ``_MIN_NORM`` or the chord is no
+longer than ``_MIN_CHORD``; it then moves to ``uniform(lo, hi)``, which numpy
+computes as ``lo + (hi - lo) * random()``.  Between redraws the stream is
+one normal row and one ``random()`` per step, whatever the chain's state, so
+the chain draws it ahead in blocks of at most ``_BLOCK_VALUES`` normals,
+normalises a block's rows in a few array calls and steps on Python floats.
+A redraw rewinds the generator to the block's start, draws the rows before
+it and the discarded row once more, and opens a new block at that step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .errors import DomainError, SamplerError
 from .rng import RandomSource
 from .signals import DdrValue
 
+_MIN_NORM = 1e-12
 _MIN_CHORD = 1e-13
 _MAX_DIRECTION_RETRIES = 100
 
@@ -37,21 +37,8 @@ _MAX_DIRECTION_RETRIES = 100
 BURN_IN = 1000
 THINNING = 10
 
-# Normals per pre-drawn block (32 KB), so the buffers do not grow with the
-# number of tuples.
+# Normals per pre-drawn block (32 KB), whatever the number of tuples.
 _BLOCK_VALUES = 4096
-
-
-def _direction(n: int, rng: RandomSource) -> np.ndarray:
-    """A random unit direction whose components sum to zero, so steps stay on the slice."""
-    for _ in range(_MAX_DIRECTION_RETRIES):
-        d = rng.standard_normal(n)
-        # The same bits as d.mean() and np.linalg.norm(d), without their overhead.
-        d -= d.sum() / n
-        norm = math.sqrt(d.dot(d))
-        if norm > 1e-12:
-            return d / norm
-    raise SamplerError("could not draw a usable in-slice direction")
 
 
 def _chord(coords: List[float], d: List[float]) -> Tuple[float, float]:
@@ -121,80 +108,59 @@ def _pairwise_sum(x: List[float]) -> float:
     return total
 
 
-def _step(s: np.ndarray, total: float, rng: RandomSource) -> np.ndarray:
-    """One hit-and-run step: a uniform point on the chord along a random direction.
-
-    The coordinate arithmetic runs on Python floats: on a few dozen
-    coordinates that is cheaper than the numpy calls it replaces, and each
-    operation rounds as its numpy counterpart did, so the chain's bits are
-    unchanged.
-    """
-    coords = s.tolist()
-    for _ in range(_MAX_DIRECTION_RETRIES):
-        d = _direction(s.size, rng).tolist()
-        lo, hi = _chord(coords, d)
-        if not math.isfinite(lo) or not math.isfinite(hi):
-            raise SamplerError("direction is parallel to every box face")
-        if hi - lo > _MIN_CHORD:
-            return np.array(_moved(coords, d, rng.uniform(lo, hi), total))
-    raise SamplerError("no chord of positive length after bounded retries")
-
-
-def _drawn_chain(
-    s: np.ndarray, total: float, count: int, rng: RandomSource
-) -> Optional[np.ndarray]:
-    """The states `_stepped_chain` keeps, from a stream drawn ahead; None where
-    a step would have redrawn its direction or chord."""
+def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:
+    """The (count, n) states the chain from s keeps: after BURN_IN steps, then every THINNING."""
     n = s.size
     coords = s.tolist()
     states = np.empty((count, n))
     normal, uniform = rng.standard_normal, rng.random
     done, steps = 0, BURN_IN + THINNING * count
+    bad_norms = short_chords = 0
     while done < steps:
+        start, entry = done, rng.bit_generator.state
         directions = np.empty((min(max(1, _BLOCK_VALUES // n), steps - done), n))
         draws = []
         for d in directions:
             normal(out=d)
             draws.append(uniform())
-        # What `_direction` does to each row, with its bits: a row-wise
-        # add.reduce is each row's pairwise sum, and a stacked matmul of a
-        # row by itself runs the ddot that d.dot(d) runs.
+        # Centre and normalise each row with the bits of d - d.sum() / n and
+        # sqrt(d.dot(d)): a row-wise add.reduce is each row's pairwise sum,
+        # and a stacked matmul of a row by itself runs the same ddot.
         directions -= (np.add.reduce(directions, axis=1) / n)[:, None]
         norms = np.sqrt(np.matmul(directions[:, None, :], directions[:, :, None]).ravel())
-        if not np.all(norms > 1e-12):
-            return None
         directions /= norms[:, None]
-        for d, u in zip(directions.tolist(), draws):
+        for d, u, ok in zip(directions.tolist(), draws, (norms > _MIN_NORM).tolist()):
+            if not ok:
+                break
             lo, hi = _chord(coords, d)
             if not _MIN_CHORD < hi - lo < math.inf:
-                return None
+                break
             # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random().
             coords = _moved(coords, d, lo + (hi - lo) * u, total)
             done += 1
             if done > BURN_IN and (done - BURN_IN) % THINNING == 0:
                 states[(done - BURN_IN) // THINNING - 1] = coords
-    return states
-
-
-def _stepped_chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:
-    """The chain's thinned states, one `_step` at a time."""
-    for _ in range(BURN_IN):
-        s = _step(s, total, rng)
-    states = np.empty((count, s.size))
-    for row in states:
-        for _ in range(THINNING):
-            s = _step(s, total, rng)
-        row[:] = s
-    return states
-
-
-def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:
-    """The (count, n) states the chain from s keeps: after BURN_IN steps, then every THINNING."""
-    entry = rng.bit_generator.state
-    states = _drawn_chain(s, total, count, rng)
-    if states is None:
+        else:
+            continue
+        # Row done - start is redrawn, so no random() follows it.
         rng.bit_generator.state = entry
-        states = _stepped_chain(s, total, count, rng)
+        for d in directions[: done - start]:
+            normal(out=d)
+            uniform()
+        normal(out=directions[done - start])
+        if done > start:  # a step was completed since the last redraw
+            bad_norms = short_chords = 0
+        if not ok:
+            bad_norms += 1
+            if bad_norms == _MAX_DIRECTION_RETRIES:
+                raise SamplerError("could not draw a usable in-slice direction")
+            continue
+        bad_norms = 0
+        if not math.isfinite(hi - lo):
+            raise SamplerError("direction is parallel to every box face")
+        short_chords += 1
+        if short_chords == _MAX_DIRECTION_RETRIES:
+            raise SamplerError("no chord of positive length after bounded retries")
     return states
 
 

@@ -108,6 +108,16 @@ class TestRun:
         assert code == 1
         assert "friedman1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_exit_one(self, tmp_path, capsys, seed):
+        code = main([
+            "run", "--task", "regression", "--models", "olsr",
+            "--seed", seed, "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: master_seed must be in [0, 2**64)")
+        assert not list(tmp_path.iterdir())
+
     def test_duplicate_model_exit_one(self, tmp_path, capsys):
         code = main([
             "run", "--task", "regression", "--models", "olsr,olsr,dtr",

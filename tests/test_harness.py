@@ -108,6 +108,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(task=task, models=(kind,), **size)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("master_seed", 1.5, "master_seed must be an integer"),
+            ("master_seed", True, "master_seed must be an integer"),
+            ("n_samples", 40.0, "n_samples must be an integer"),
+            ("n_features", 3.0, "n_features must be an integer"),
+            ("tuples_per_grid_point", 2.0, "tuples_per_grid_point must be an integer"),
+            # make_rng keeps a seed's low 64 bits, so these would rerun another seed's sweep.
+            ("master_seed", -1, r"master_seed must be in \[0, 2\*\*64\)"),
+            ("master_seed", 1 << 64, r"master_seed must be in \[0, 2\*\*64\)"),
+        ],
+        ids=[
+            "float-seed",
+            "bool-seed",
+            "float-samples",
+            "float-features",
+            "float-replicates",
+            "negative-seed",
+            "seed-2**64",
+        ],
+    )
+    def test_counts_and_seed_are_in_range_integers(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(task=REGRESSION, models=("olsr",), **{field: value})
+
+    def test_largest_seed_accepted(self):
+        assert ExperimentConfig(task=REGRESSION, models=("olsr",), master_seed=(1 << 64) - 1)
+
     def test_default_grid(self):
         grid = default_grid(21)
         assert len(grid) == 21 and grid[0] == 0.0 and grid[-1] == 1.0

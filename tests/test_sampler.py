@@ -10,7 +10,7 @@ from ddrbench import sampler
 from ddrbench.errors import DomainError, SamplerError
 from ddrbench.harness import _grid_key, seed_derivation
 from ddrbench.rng import make_rng
-from ddrbench.sampler import _direction, _step, sample_ddr_tuples
+from ddrbench.sampler import sample_ddr_tuples
 
 
 def rejection_oracle(n, total, count, rng):
@@ -27,11 +27,17 @@ def rejection_oracle(n, total, count, rng):
     return np.asarray(out[:count])
 
 
+@pytest.fixture
+def every_state(monkeypatch):
+    """`sampler._chain` with no burn-in or thinning, so it keeps every state."""
+    monkeypatch.setattr(sampler, "BURN_IN", 0)
+    monkeypatch.setattr(sampler, "THINNING", 1)
+    return sampler._chain
+
+
 class TestHitAndRun:
-    def test_slice_sum_preserved(self):
-        x, rng = np.full(4, 0.3), make_rng(4)
-        for _ in range(500):
-            x = _step(x, 1.2, rng)
+    def test_slice_sum_preserved(self, every_state):
+        for x in every_state(np.full(4, 0.3), 1.2, 500, make_rng(4)):
             assert abs(x.sum() - 1.2) <= 1e-9
             assert 0.0 <= x.min() and x.max() <= 1.0
 
@@ -42,7 +48,7 @@ def numpy_direction(n, rng):
         d = rng.standard_normal(n)
         d -= d.mean()
         norm = float(np.linalg.norm(d))
-        if norm > 1e-12:
+        if norm > sampler._MIN_NORM:
             return d / norm
     raise SamplerError("could not draw a usable in-slice direction")
 
@@ -70,24 +76,18 @@ class TestStepBits:
     @pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
     @pytest.mark.parametrize("big_r", [1e-3, 0.3, 0.7, 0.999])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_step_matches_numpy_reference(self, n, big_r, seed):
-        # Both steps draw from twin streams; every state, and the streams
-        # themselves, must stay identical along the chain.
+    def test_step_matches_numpy_reference(self, every_state, n, big_r, seed):
+        # The chain and the reference steps draw from twin streams; every
+        # state, and the streams themselves, must stay identical.
         total = n * big_r * big_r
         s = np.full(n, big_r * big_r)
         ours, ref = make_rng(seed), make_rng(seed)
-        for _ in range(60):
-            got, expected = _step(s, total, ours), numpy_step(s, total, ref)
-            assert got.dtype == np.float64 and got.shape == (n,)
-            assert got.tobytes() == expected.tobytes()
-            s = got
+        got = every_state(s, total, 60, ours)
+        assert got.dtype == np.float64 and got.shape == (60, n)
+        for row in got:
+            s = numpy_step(s, total, ref)
+            assert row.tobytes() == s.tobytes()
         assert ours.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
-    def test_direction_matches_numpy_reference(self, n):
-        ours, ref = make_rng(n), make_rng(n)
-        for _ in range(20):
-            assert _direction(n, ours).tobytes() == numpy_direction(n, ref).tobytes()
 
     @pytest.mark.parametrize(
         "state",
@@ -100,7 +100,7 @@ class TestStepBits:
         ],
         ids=["zero", "negative-zero", "one", "zero-and-one", "mostly-faces"],
     )
-    def test_step_on_box_faces_matches(self, state):
+    def test_step_on_box_faces_matches(self, every_state, state):
         # Coordinates on the box faces put the chord bounds and both clips at
         # their edges; a state on many faces has no chord left and must fail
         # the same way in both.
@@ -115,8 +115,11 @@ class TestStepBits:
                 result = str(exc)
             return result, rng.bit_generator.state
 
+        def one_state(s, total, rng):
+            return every_state(s, total, 1, rng)[0]
+
         for seed in range(40):
-            assert outcome(_step, seed) == outcome(numpy_step, seed)
+            assert outcome(one_state, seed) == outcome(numpy_step, seed)
 
 
 def chain_tuples(step, n, big_r, count, rng):
@@ -155,44 +158,77 @@ class TestDrawnChain:
     @pytest.mark.parametrize("big_r", [1e-3, 0.4, 0.999])
     @pytest.mark.parametrize("count", [1, 5, LONG_COUNT])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_stepped_chain(self, monkeypatch, n, big_r, count, seed):
+    def test_matches_stepped_chain(self, n, big_r, count, seed):
         ref, ours = make_rng(seed), make_rng(seed)
-        expected = chain_tuples(_step, n, big_r, count, ref)
-
-        def no_step(s, total, rng):
-            raise AssertionError("the pre-drawn chain fell back to _step")
-
-        monkeypatch.setattr(sampler, "_step", no_step)
+        expected = chain_tuples(numpy_step, n, big_r, count, ref)
         got = sample_ddr_tuples(n, big_r, count, ours)
         assert got.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize(
-        "n, big_r, min_chord, fails",
+        "n, big_r, minima, fails",
         [
-            (3, 0.5, 0.3, False),
-            (10, 0.7, 0.3, False),
-            (5, 0.3, 0.07, False),
-            (3, 0.5, 10.0, True),
-            (2, 0.9, 0.6, True),
+            (3, 0.5, {"_MIN_CHORD": 0.3}, False),
+            (10, 0.7, {"_MIN_CHORD": 0.3}, False),
+            (5, 0.3, {"_MIN_CHORD": 0.07}, False),
+            (3, 0.5, {"_MIN_CHORD": 10.0}, True),
+            (2, 0.9, {"_MIN_CHORD": 0.6}, True),
+            (3, 0.5, {"_MIN_NORM": 1.0}, False),
+            (10, 0.5, {"_MIN_NORM": 2.8}, False),
+            (2, 0.5, {"_MIN_NORM": 5.0}, True),
+            # Every chord is too short, and 70% (or 5%) of the norms are too
+            # small: a usable direction resets the count of bad norms, and a
+            # bad norm does not reset the count of short chords.
+            (3, 0.5, {"_MIN_CHORD": 10.0, "_MIN_NORM": 1.55}, True),
+            (3, 0.5, {"_MIN_CHORD": 10.0, "_MIN_NORM": 0.32}, True),
         ],
-        ids=["n3-some", "n10-some", "n5-some", "n3-every", "n2-every"],
+        ids=[
+            "n3-some",
+            "n10-some",
+            "n5-some",
+            "n3-every",
+            "n2-every",
+            "n3-some-norms",
+            "n10-some-norms",
+            "n2-every-norm",
+            "n3-every-chord-most-norms",
+            "n3-every-chord-few-norms",
+        ],
     )
-    def test_retrying_chain_matches_numpy_steps(self, monkeypatch, n, big_r, min_chord, fails):
-        # With chords this long required, some steps (or every step) retry,
-        # so the pre-drawn stream is wrong from there on and the chain must
-        # restart from the generator state at entry, one `_step` at a time.
-        monkeypatch.setattr(sampler, "_MIN_CHORD", min_chord)
+    def test_retrying_chain_matches_numpy_steps(self, monkeypatch, n, big_r, minima, fails):
+        # With chords this long, or direction norms this large, required,
+        # some steps (or every step) redraw their direction, so the chain
+        # must rewind and redraw its stream from there on.
+        def chain(rng):
+            return sample_ddr_tuples(n, big_r, 5, rng)
+
+        plain = chain_outcome(chain, make_rng(6))
+        for name, value in minima.items():
+            monkeypatch.setattr(sampler, name, value)
         expected = chain_outcome(
             lambda rng: chain_tuples(numpy_step, n, big_r, 5, rng), make_rng(6)
         )
-        steps = []
-        step = sampler._step
-        monkeypatch.setattr(sampler, "_step", lambda *args: steps.append(1) or step(*args))
-        got = chain_outcome(lambda rng: sample_ddr_tuples(n, big_r, 5, rng), make_rng(6))
+        got = chain_outcome(chain, make_rng(6))
         assert got == expected
-        assert isinstance(got[0], str) == fails  # "no chord ... after bounded retries"
-        assert steps  # the fallback ran
+        assert isinstance(got[0], str) == fails  # the retry limit's message
+        assert got != plain  # some step redrew
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_redraw_in_a_later_block_matches_numpy_steps(self, monkeypatch, seed):
+        # Near the 0.2% quantile of chord lengths: a few steps of each chain
+        # redraw, most of them blocks after the first, so the rewind must
+        # replay that block's rows up to the redrawn one.
+        def chain(rng):
+            return sample_ddr_tuples(10, 0.5, LONG_COUNT, rng)
+
+        plain = chain_outcome(chain, make_rng(seed))
+        monkeypatch.setattr(sampler, "_MIN_CHORD", 0.0151)
+        expected = chain_outcome(
+            lambda rng: chain_tuples(numpy_step, 10, 0.5, LONG_COUNT, rng), make_rng(seed)
+        )
+        got = chain_outcome(chain, make_rng(seed))
+        assert got == expected
+        assert got != plain
 
     def test_pairwise_sum_matches_numpy(self):
         # Lengths on both sides of numpy's 8-value unroll and 128-value block.
