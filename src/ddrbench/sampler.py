@@ -115,7 +115,7 @@ def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.nda
     states = np.empty((count, n))
     normal, uniform = rng.standard_normal, rng.random
     done, steps = 0, BURN_IN + THINNING * count
-    bad_norms = short_chords = 0
+    redrawn_at = bad_norms = short_chords = 0
     while done < steps:
         start, entry = done, rng.bit_generator.state
         directions = np.empty((min(max(1, _BLOCK_VALUES // n), steps - done), n))
@@ -148,8 +148,8 @@ def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.nda
             normal(out=d)
             uniform()
         normal(out=directions[done - start])
-        if done > start:  # a step was completed since the last redraw
-            bad_norms = short_chords = 0
+        if done > redrawn_at:  # a step was completed since the last redraw
+            redrawn_at, bad_norms, short_chords = done, 0, 0
         if not ok:
             bad_norms += 1
             if bad_norms == _MAX_DIRECTION_RETRIES:

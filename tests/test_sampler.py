@@ -149,6 +149,48 @@ def chain_outcome(chain, rng):
 LONG_COUNT = 420
 
 
+# Patched minima under which some steps (or every step) redraw.
+RETRY_CASES = [
+    pytest.param(3, 0.5, {"_MIN_CHORD": 0.3}, False, id="n3-some"),
+    pytest.param(10, 0.7, {"_MIN_CHORD": 0.3}, False, id="n10-some"),
+    pytest.param(5, 0.3, {"_MIN_CHORD": 0.07}, False, id="n5-some"),
+    pytest.param(3, 0.5, {"_MIN_CHORD": 10.0}, True, id="n3-every"),
+    pytest.param(2, 0.9, {"_MIN_CHORD": 0.6}, True, id="n2-every"),
+    pytest.param(3, 0.5, {"_MIN_NORM": 1.0}, False, id="n3-some-norms"),
+    pytest.param(10, 0.5, {"_MIN_NORM": 2.8}, False, id="n10-some-norms"),
+    pytest.param(2, 0.5, {"_MIN_NORM": 5.0}, True, id="n2-every-norm"),
+    # Every chord is too short, and 70% (or 5%) of the norms are too small:
+    # a usable direction resets the count of bad norms, and a bad norm does
+    # not reset the count of short chords.
+    pytest.param(
+        3, 0.5, {"_MIN_CHORD": 10.0, "_MIN_NORM": 1.55}, True, id="n3-every-chord-most-norms"
+    ),
+    pytest.param(
+        3, 0.5, {"_MIN_CHORD": 10.0, "_MIN_NORM": 0.32}, True, id="n3-every-chord-few-norms"
+    ),
+]
+
+
+def check_retrying_chain(monkeypatch, n, big_r, minima, fails):
+    """A 5-tuple chain under patched minima must match numpy_step's outcome,
+    end with the retry limit's message exactly when `fails`, and differ from
+    the same seed's chain at the default minima."""
+
+    def chain(rng):
+        return sample_ddr_tuples(n, big_r, 5, rng)
+
+    plain = chain_outcome(chain, make_rng(6))
+    for name, value in minima.items():
+        monkeypatch.setattr(sampler, name, value)
+    expected = chain_outcome(
+        lambda rng: chain_tuples(numpy_step, n, big_r, 5, rng), make_rng(6)
+    )
+    got = chain_outcome(chain, make_rng(6))
+    assert got == expected
+    assert isinstance(got[0], str) == fails
+    assert got != plain  # some step redrew
+
+
 class TestDrawnChain:
     def test_long_count_spans_blocks(self):
         steps = sampler.BURN_IN + sampler.THINNING * LONG_COUNT
@@ -165,53 +207,19 @@ class TestDrawnChain:
         assert got.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "n, big_r, minima, fails",
-        [
-            (3, 0.5, {"_MIN_CHORD": 0.3}, False),
-            (10, 0.7, {"_MIN_CHORD": 0.3}, False),
-            (5, 0.3, {"_MIN_CHORD": 0.07}, False),
-            (3, 0.5, {"_MIN_CHORD": 10.0}, True),
-            (2, 0.9, {"_MIN_CHORD": 0.6}, True),
-            (3, 0.5, {"_MIN_NORM": 1.0}, False),
-            (10, 0.5, {"_MIN_NORM": 2.8}, False),
-            (2, 0.5, {"_MIN_NORM": 5.0}, True),
-            # Every chord is too short, and 70% (or 5%) of the norms are too
-            # small: a usable direction resets the count of bad norms, and a
-            # bad norm does not reset the count of short chords.
-            (3, 0.5, {"_MIN_CHORD": 10.0, "_MIN_NORM": 1.55}, True),
-            (3, 0.5, {"_MIN_CHORD": 10.0, "_MIN_NORM": 0.32}, True),
-        ],
-        ids=[
-            "n3-some",
-            "n10-some",
-            "n5-some",
-            "n3-every",
-            "n2-every",
-            "n3-some-norms",
-            "n10-some-norms",
-            "n2-every-norm",
-            "n3-every-chord-most-norms",
-            "n3-every-chord-few-norms",
-        ],
-    )
+    @pytest.mark.parametrize("n, big_r, minima, fails", RETRY_CASES)
     def test_retrying_chain_matches_numpy_steps(self, monkeypatch, n, big_r, minima, fails):
         # With chords this long, or direction norms this large, required,
         # some steps (or every step) redraw their direction, so the chain
         # must rewind and redraw its stream from there on.
-        def chain(rng):
-            return sample_ddr_tuples(n, big_r, 5, rng)
+        check_retrying_chain(monkeypatch, n, big_r, minima, fails)
 
-        plain = chain_outcome(chain, make_rng(6))
-        for name, value in minima.items():
-            monkeypatch.setattr(sampler, name, value)
-        expected = chain_outcome(
-            lambda rng: chain_tuples(numpy_step, n, big_r, 5, rng), make_rng(6)
-        )
-        got = chain_outcome(chain, make_rng(6))
-        assert got == expected
-        assert isinstance(got[0], str) == fails  # the retry limit's message
-        assert got != plain  # some step redrew
+    @pytest.mark.parametrize("n, big_r, minima, fails", RETRY_CASES)
+    def test_one_row_blocks_retry_per_step(self, monkeypatch, n, big_r, minima, fails):
+        # With one row per block every redraw opens a block, yet the retry
+        # counts must still start again at each step, not at each block.
+        monkeypatch.setattr(sampler, "_BLOCK_VALUES", n)
+        check_retrying_chain(monkeypatch, n, big_r, minima, fails)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_redraw_in_a_later_block_matches_numpy_steps(self, monkeypatch, seed):
