@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import harness, svg
+from . import harness
 from .datagen import CLASSIFICATION, REGRESSION
 from .errors import ConfigError, DdrBenchError
 from .models import MODELS
@@ -204,6 +204,8 @@ def cmd_plot(args) -> int:
     if title is None:
         kinds = [k for k in (_model_from_filename(p) for p in args.curves) if k]
         title = f"Accuracy vs. DDR ({', '.join(kinds)})" if kinds else "Accuracy vs. DDR"
+    from . import svg  # imported here: only plot and summary draw charts (start-up)
+
     text = svg.line_chart(series, title, "DDR", ylabel or "Accuracy")
     harness.write_text_atomic(args.out, text)
     return 0
@@ -263,6 +265,8 @@ def cmd_summary(args) -> int:
         raise ConfigError("no complete reports to summarize")
     payloads.sort(key=lambda p: p["model"])
     harness.write_summary_csv(payloads, args.out)
+    from . import svg  # imported here: only plot and summary draw charts (start-up)
+
     text = svg.bar_chart(
         [p["model"] for p in payloads],
         [p["auc_test"] for p in payloads],

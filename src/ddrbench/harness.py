@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -320,6 +319,14 @@ def _thread_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def ThreadPoolExecutor(max_workers: int):
+    """Return a `concurrent.futures.ThreadPoolExecutor` that runs grid points at once."""
+    # Imported here: a serial sweep never loads concurrent.futures or logging (start-up).
+    from concurrent.futures import ThreadPoolExecutor as pool_type
+
+    return pool_type(max_workers=max_workers)
 
 
 def run_experiment(config: ExperimentConfig) -> List[PerformanceReport]:

@@ -72,6 +72,21 @@ class TestRun:
             "olsr_curve.csv", "olsr_report.json",
         ]
 
+    def test_import_loads_no_thread_pool_or_svg(self):
+        # A fresh interpreter: the pool and the chart writer load only when used.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ddrbench import cli, harness; "
+             "print(sorted({'concurrent.futures', 'ddrbench.svg'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_small(a) == 0
