@@ -329,15 +329,17 @@ class _LinearStack:
     """Base of the full-batch linear learners: one dataset or a stack of them.
 
     ``fit`` takes X of shape (n, f) with y of shape (n,), or a stack of R
-    datasets, X (R, n, f) with y (R, n).  One dataset trains as a stack of
-    one, so each learner has one epoch loop.  Each product in it is a stacked
-    ``np.matmul`` against (R, k, 1) views, which runs one BLAS gemv per slice
-    with the arguments a lone fit's gemv gets; the updates are elementwise and
-    the intercept sums are ``np.add.reduce(..., axis=1)``, the pairwise sum of
-    each row.  So every slice's weights and intercept have the bits of
-    fitting that slice alone.  After one dataset ``weights`` is (f,) and
-    ``intercept`` a float; after a stack they are (R, f) and (R,), and
-    ``predict`` takes a stack of the same R query sets.
+    datasets, X (R, n, f) with y (R, n); one dataset trains as a stack of one.
+    ``_train`` is the one epoch loop: for t = 1 .. ``epochs`` it writes
+    X @ w + b into a scores buffer, the learner's ``_direction`` turns that
+    into the per-row direction d (given a spare bool mask buffer), g = X.T @ d,
+    and the learner's ``_step`` updates w and b in place.  Each product is a
+    stacked ``np.matmul`` against (R, k, 1) views: one BLAS gemv per slice
+    with a lone fit's arguments.  The rest is elementwise, and the intercept
+    sums are ``np.add.reduce(..., axis=1)``, each row's pairwise sum, so every
+    slice has the bits of fitting it alone.  After one dataset ``weights`` is
+    (f,) and ``intercept`` a float; after a stack they are (R, f) and (R,),
+    and ``predict`` takes a stack of the same R query sets.
     """
 
     learned = ("weights", "intercept")
@@ -350,6 +352,24 @@ class _LinearStack:
             self.weights, self.intercept = self._train(X, y)
         return self
 
+    def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        stack, n, f = X.shape
+        w = np.zeros((stack, f))
+        b = np.zeros(stack)
+        g = np.empty_like(w)
+        scores = np.empty((stack, n))
+        d = np.empty_like(scores)
+        mask = np.empty(scores.shape, dtype=bool)
+        XT, w1, b1, g1 = X.transpose(0, 2, 1), w[..., None], b[:, None], g[..., None]
+        scores1, d1 = scores[..., None], d[..., None]
+        for t in range(1, self.epochs + 1):
+            np.matmul(X, w1, out=scores1)
+            scores += b1
+            self._direction(scores, y, d, mask)
+            np.matmul(XT, d1, out=g1)
+            self._step(t, w, b, g, d)
+        return w, b
+
     def _scores(self, X: np.ndarray) -> np.ndarray:
         """X @ w + b for each slice: (m,) for one query set, (R, m) for a stack."""
         scores = np.matmul(X, self.weights[..., None])[..., 0]
@@ -360,12 +380,10 @@ class LinearSvr(_LinearStack):
     """Linear epsilon-insensitive regression trained by subgradient descent.
 
     Objective: 0.5 ||w||^2 + c * sum_i max(0, |w.x_i + b - y_i| - epsilon),
-    with step_t = step / sqrt(t) over full-batch epochs.
-
-    Each epoch writes into the same residual, mask, subgradient and gradient
-    buffers and keeps the operation order of the plain update
-    w -= step_t * (w + c * (X.T @ s)), so the fitted bits are those of the
-    allocate-per-epoch loop.
+    with step_t = step / sqrt(t) over full-batch epochs.  The direction is
+    sign(r) outside the tube |r| > epsilon and 0 inside it, and the update
+    keeps the order of w -= step_t * (w + c * (X.T @ s)), so the fitted bits
+    are those of the allocate-per-epoch loop.
     """
 
     def __init__(self, epsilon: float, c: float, epochs: int, step: float):
@@ -374,31 +392,19 @@ class LinearSvr(_LinearStack):
         self.epochs = int(epochs)
         self.step = float(step)
 
-    def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        stack, n, f = X.shape
-        w = np.zeros((stack, f))
-        b = np.zeros(stack)
-        r = np.empty((stack, n))
-        s = np.empty_like(r)
-        outside = np.empty(r.shape, dtype=bool)
-        g = np.empty_like(w)
-        XT, w1, b1 = X.transpose(0, 2, 1), w[..., None], b[:, None]
-        r1, s1, g1 = r[..., None], s[..., None], g[..., None]
-        for t in range(1, self.epochs + 1):
-            np.matmul(X, w1, out=r1)
-            r += b1
-            r -= y
-            np.greater(np.abs(r, out=s), self.epsilon, out=outside)
-            np.sign(r, out=s)
-            s *= outside
-            eta = self.step / math.sqrt(t)
-            np.matmul(XT, s1, out=g1)
-            g *= self.c
-            g += w
-            g *= eta
-            w -= g
-            b -= eta * self.c * np.add.reduce(s, axis=1)
-        return w, b
+    def _direction(self, r: np.ndarray, y: np.ndarray, s: np.ndarray, outside: np.ndarray) -> None:
+        r -= y
+        np.greater(np.abs(r, out=s), self.epsilon, out=outside)
+        np.sign(r, out=s)
+        s *= outside
+
+    def _step(self, t: int, w: np.ndarray, b: np.ndarray, g: np.ndarray, s: np.ndarray) -> None:
+        eta = self.step / math.sqrt(t)
+        g *= self.c
+        g += w
+        g *= eta
+        w -= g
+        b -= eta * self.c * np.add.reduce(s, axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._scores(X)
@@ -407,8 +413,10 @@ class LinearSvr(_LinearStack):
 class LinearSvc(_LinearStack):
     """Linear hinge-loss classifier trained by subgradient descent.
 
-    Same schedule and buffering as the regressor; scores of exactly zero
-    predict class 1.
+    The regressor's schedule on the hinge loss of y' = 2y - 1: the direction
+    is y' where the margin y' (X @ w + b) is below 1, else 0, and the update
+    keeps the order of w -= step_t * (w - c * (X.T @ a)).  Scores of exactly
+    zero predict class 1.
     """
 
     def __init__(self, c: float, epochs: int, step: float):
@@ -417,30 +425,22 @@ class LinearSvc(_LinearStack):
         self.step = float(step)
 
     def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        stack, n, f = X.shape
-        signed = 2.0 * y - 1.0
-        w = np.zeros((stack, f))
-        b = np.zeros(stack)
-        margins = np.empty((stack, n))
-        active = np.empty_like(margins)
-        inside = np.empty(margins.shape, dtype=bool)
-        g = np.empty_like(w)
-        XT, w1, b1 = X.transpose(0, 2, 1), w[..., None], b[:, None]
-        m1, a1, g1 = margins[..., None], active[..., None], g[..., None]
-        for t in range(1, self.epochs + 1):
-            np.matmul(X, w1, out=m1)
-            margins += b1
-            margins *= signed
-            np.less(margins, 1.0, out=inside)
-            np.multiply(signed, inside, out=active)
-            eta = self.step / math.sqrt(t)
-            np.matmul(XT, a1, out=g1)
-            g *= self.c
-            np.subtract(w, g, out=g)
-            g *= eta
-            w -= g
-            b += eta * self.c * np.add.reduce(active, axis=1)
-        return w, b
+        return super()._train(X, 2.0 * y - 1.0)
+
+    def _direction(
+        self, m: np.ndarray, signed: np.ndarray, a: np.ndarray, inside: np.ndarray
+    ) -> None:
+        m *= signed
+        np.less(m, 1.0, out=inside)
+        np.multiply(signed, inside, out=a)
+
+    def _step(self, t: int, w: np.ndarray, b: np.ndarray, g: np.ndarray, a: np.ndarray) -> None:
+        eta = self.step / math.sqrt(t)
+        g *= self.c
+        np.subtract(w, g, out=g)
+        g *= eta
+        w -= g
+        b += eta * self.c * np.add.reduce(a, axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self._scores(X) >= 0.0).astype(np.float64)
@@ -449,38 +449,30 @@ class LinearSvc(_LinearStack):
 class LogisticClassifier(_LinearStack):
     """Binary logistic regression by full-batch gradient descent.
 
-    Probability ties at 0.5 predict class 1, so the zero-weight model labels
-    everything 1.
-
-    Each iteration writes into the same score, gap and gradient buffers.  The
-    weight step is (step * X.T @ gap) / n in that order: dividing by n first
-    rounds differently and changes the fitted bits.
+    The direction is the gap sigmoid(X @ w + b) - y, and the weight step is
+    (step * X.T @ gap) / n in that order: dividing by n first rounds
+    differently and changes the fitted bits.  Probability ties at 0.5
+    predict class 1, so the zero-weight model labels everything 1.
     """
 
     def __init__(self, iterations: int, step: float):
         self.iterations = int(iterations)
         self.step = float(step)
 
-    def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        stack, n, f = X.shape
-        w = np.zeros((stack, f))
-        b = np.zeros(stack)
-        z = np.empty((stack, n))
-        gap = np.empty_like(z)
-        g = np.empty_like(w)
-        XT, w1, b1 = X.transpose(0, 2, 1), w[..., None], b[:, None]
-        z1, gap1, g1 = z[..., None], gap[..., None], g[..., None]
-        for _ in range(self.iterations):
-            np.matmul(X, w1, out=z1)
-            z += b1
-            _sigmoid(z, out=gap)
-            gap -= y
-            np.matmul(XT, gap1, out=g1)
-            g *= self.step
-            g /= n
-            w -= g
-            b -= self.step * (np.add.reduce(gap, axis=1) / n)
-        return w, b
+    @property
+    def epochs(self) -> int:
+        return self.iterations
+
+    def _direction(self, z: np.ndarray, y: np.ndarray, gap: np.ndarray, _: np.ndarray) -> None:
+        _sigmoid(z, out=gap)
+        gap -= y
+
+    def _step(self, t: int, w: np.ndarray, b: np.ndarray, g: np.ndarray, gap: np.ndarray) -> None:
+        n = gap.shape[1]
+        g *= self.step
+        g /= n
+        w -= g
+        b -= self.step * (np.add.reduce(gap, axis=1) / n)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self._scores(X))

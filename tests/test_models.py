@@ -871,6 +871,24 @@ class TestStackedLinearFits:
             alone = cls(**hp).fit(X[r], y[r])
             assert predictions[r].tobytes() == alone.predict(Q[r]).tobytes(), r
 
+    def test_lsvr_at_the_tube_edge(self):
+        # The first epoch starts from w = 0 and b = 0, so each residual is -y:
+        # targets of exactly +-epsilon put a residual on the tube's edge, which
+        # the strict |r| > epsilon leaves inside, and targets of 0.0 and -0.0
+        # give signed zero residuals, which sign(0) = 0 and the tube both zero.
+        hp = PINNED["lsvr"][1]
+        eps = hp["epsilon"]
+        X, y, _ = stacked_case(3, 37, 10, False, False)
+        y[:, :6] = [eps, -eps, 0.0, -0.0, eps, -eps]
+        stacked = LinearSvr(**hp).fit(X, y)
+        for r in range(3):
+            w, b = reference_lsvr_fit(X[r], y[r], **hp)
+            alone = LinearSvr(**hp).fit(X[r], y[r])
+            for weights, intercept in ((stacked.weights[r], stacked.intercept[r]),
+                                       (alone.weights, alone.intercept)):
+                assert weights.tobytes() == w.tobytes(), r
+                assert np.float64(intercept).tobytes() == np.float64(b).tobytes(), r
+
 
 class TestSigmoid:
     EDGES = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, -745.0, 1e308, -1e308,
