@@ -225,7 +225,8 @@ def read_report_json(path: str) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object, got a {type(payload).__name__}")
     version = payload.get("schema_version")
-    if version != harness.SCHEMA_VERSION:
+    # True == 1 == 1.0 in Python, so the type is checked before the value.
+    if type(version) is not int or version != harness.SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema_version {version!r} != {harness.SCHEMA_VERSION}")
     for name in ("model", "auc_train", "auc_test"):
         if name not in payload:

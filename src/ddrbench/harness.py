@@ -173,19 +173,19 @@ def _train_size(n: int) -> int:
 
 
 def _split_indices(targets: np.ndarray, task: str, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    # Each label's rows, or all n rows as rng.permutation(n) = rng.permutation(np.arange(n)).
     rng = make_rng(seed)
     if task == CLASSIFICATION:
-        train_parts, test_parts = [], []
-        for label in (0.0, 1.0):
-            idx = np.flatnonzero(targets == label)
-            idx = idx[rng.permutation(idx.size)]
-            cut = _train_size(idx.size)
-            train_parts.append(idx[:cut])
-            test_parts.append(idx[cut:])
-        return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
-    order = rng.permutation(targets.size)
-    cut = _train_size(targets.size)
-    return np.sort(order[:cut]), np.sort(order[cut:])
+        groups = [np.flatnonzero(targets == label) for label in (0.0, 1.0)]
+    else:
+        groups = [targets.size]
+    train_parts, test_parts = [], []
+    for rows in groups:
+        idx = rng.permutation(rows)
+        cut = _train_size(idx.size)
+        train_parts.append(idx[:cut])
+        test_parts.append(idx[cut:])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
 def _noisy_split(

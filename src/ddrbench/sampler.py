@@ -13,9 +13,10 @@ longer than ``_MIN_CHORD``; it then moves to ``uniform(lo, hi)``, which numpy
 computes as ``lo + (hi - lo) * random()``.  Between redraws the stream is
 one normal row and one ``random()`` per step, whatever the chain's state, so
 the chain draws it ahead in blocks of at most ``_BLOCK_VALUES`` normals,
-normalises a block's rows in a few array calls and steps on Python floats.
-A redraw rewinds the generator to the block's start, draws the rows before
-it and the discarded row once more, and opens a new block at that step.
+normalises a block's rows in a few array calls and steps on Python floats,
+taking each moved point's sum from numpy's own ``np.add.reduce``.  A redraw
+rewinds the generator to the block's start, draws the rows before it and the
+discarded row once more, and opens a new block at that step.
 """
 
 from __future__ import annotations
@@ -65,47 +66,15 @@ def _moved(coords: List[float], d: List[float], lam: float, total: float) -> Lis
     """coords + lam * d clipped into the box, with the (tiny) sum error spread
     evenly so the slice equation keeps holding to machine precision.
 
-    Each clip is np.clip(v, 0.0, 1.0) on one float, keeping -0.0 as numpy does.
+    Each clip is np.clip(v, 0.0, 1.0) on one float, keeping -0.0 as numpy does,
+    and the sum is np.add.reduce, numpy's own pairwise sum, as np.sum takes it.
     """
-    x = [si + lam * di for si, di in zip(coords, d)]
-    x = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
-    shift = (total - _pairwise_sum(x)) / len(x)
-    x = [xi + shift for xi in x]
-    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
-
-
-def _pairwise_sum(x: List[float]) -> float:
-    """float(np.add.reduce(np.array(x))), bit for bit: numpy's pairwise sum.
-
-    Under 8 values numpy adds them in order.  Up to 128 it keeps 8 running
-    sums of the strided values, joins them as a tree and adds the rest in
-    order; beyond that it splits at a multiple of 8 near the middle.
-    """
-    n = len(x)
-    if n < 8:
-        total = 0.0
-        for v in x:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        v0, v1, v2, v3, v4, v5, v6, v7 = x[i : i + 8]
-        r0 += v0
-        r1 += v1
-        r2 += v2
-        r3 += v3
-        r4 += v4
-        r5 += v5
-        r6 += v6
-        r7 += v7
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in x[whole:]:
-        total += v
-    return total
+    x = [
+        0.0 if (v := si + lam * di) < 0.0 else 1.0 if v > 1.0 else v
+        for si, di in zip(coords, d)
+    ]
+    shift = (total - float(np.add.reduce(x))) / len(x)
+    return [0.0 if (v := xi + shift) < 0.0 else 1.0 if v > 1.0 else v for xi in x]
 
 
 def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:

@@ -448,9 +448,12 @@ class TestSummary:
     def test_empty_reports_exit_one(self, tmp_path):
         assert main(["summary", "--out", str(tmp_path / "t.csv")]) == 1
 
-    def test_schema_mismatch_exit_one(self, tmp_path, capsys):
+    # True == 1 == 1.0 in Python; only the int 1 is schema version 1.
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+    def test_schema_mismatch_exit_one(self, tmp_path, capsys, version):
         bad = tmp_path / "bad_report.json"
-        bad.write_text(json.dumps({"schema_version": 99, "model": "olsr"}))
+        report = {"schema_version": version, "model": "olsr", "auc_train": 0.5, "auc_test": 0.5}
+        bad.write_text(json.dumps(report))
         code = main(["summary", "--reports", str(bad), "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert "schema_version" in capsys.readouterr().err
