@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ def trust_point(accuracy: float, ddr: float) -> float:
     return acc * float(DdrValue(ddr))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One grid point of an accuracy-DDR curve, aggregated over replicates."""
 
     ddr: float
@@ -85,8 +83,7 @@ def normalized_auc(ddrs, accuracies) -> float:
     return float(np.trapezoid(y, x))
 
 
-@dataclass(frozen=True, eq=False)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """Per-model sweep outcome: curve, AUCs, trust points, and the config echo.
 
     A report whose incomplete_cells are empty carries the curve and AUCs.

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,21 +57,26 @@ def default_grid(points: int = 21) -> Tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, 1.0, points))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Sweep settings; everything is echoed into the persisted reports."""
-
+class _ExperimentConfigFields(NamedTuple):
+    # ExperimentConfig's fields; its __new__ checks and normalises them.
     task: str
     models: Tuple[str, ...]
     generator: str = "auto"
     n_samples: int = 1000
     n_features: int = 10
-    ddr_grid: Tuple[float, ...] = field(default_factory=default_grid)
+    ddr_grid: Tuple[float, ...] = default_grid()
     tuples_per_grid_point: int = 5
     master_seed: int = 0
     out_dir: Optional[str] = None
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(_ExperimentConfigFields):
+    """Sweep settings; everything is echoed into the persisted reports."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ExperimentConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ConfigError(
                 f"unknown task {self.task!r}; valid tasks: {REGRESSION}, {CLASSIFICATION}"
@@ -89,7 +93,6 @@ class ExperimentConfig:
                 raise ConfigError(f"model {kind!r} does not belong to task {self.task!r}")
             if models.count(kind) > 1:
                 raise ConfigError(f"model {kind!r} is listed more than once")
-        object.__setattr__(self, "models", models)
         if self.generator != "auto":
             if self.generator not in GENERATORS:
                 raise ConfigError(
@@ -106,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError("ddr grid must be strictly increasing")
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise ConfigError("ddr grid must start at 0 and end at 1")
-        object.__setattr__(self, "ddr_grid", grid)
+        self = self._replace(models=models, ddr_grid=grid)
         for name in ("n_samples", "n_features", "tuples_per_grid_point", "master_seed"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
@@ -130,6 +133,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{kind} uses linear, which needs n_samples >= 2 * n_features")
             if gen == "two_class" and self.n_samples % 2 != 0:
                 raise ConfigError(f"{kind} uses two_class, which needs an even n_samples")
+        return self
 
     def generator_for(self, kind: str) -> str:
         return MODELS[kind].generator if self.generator == "auto" else self.generator

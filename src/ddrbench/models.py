@@ -11,7 +11,6 @@ seed; no hyperparameter tuning happens anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -21,24 +20,28 @@ from .errors import DomainError
 from .rng import make_rng
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Model kind plus a training seed; the hyperparameters are fixed in `MODELS`."""
-
+class _ModelSpecFields(NamedTuple):
+    # ModelSpec's fields; its __new__ checks them and lower-cases the kind.
     kind: str
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ModelSpec(_ModelSpecFields):
+    """Model kind plus a training seed; the hyperparameters are fixed in `MODELS`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ModelSpec":
+        self = super().__new__(cls, *args, **kwargs)
         kind = str(self.kind).lower()
         if kind not in MODEL_KINDS:
             raise DomainError(
                 f"unknown model kind {self.kind!r}; valid kinds: {', '.join(MODEL_KINDS)}"
             )
-        object.__setattr__(self, "kind", kind)
+        return self._replace(kind=kind)
 
 
-@dataclass(frozen=True, eq=False)
-class TrainedModel:
+class TrainedModel(NamedTuple):
     """A fitted learner; the learned parameters are opaque to callers."""
 
     spec: ModelSpec

@@ -73,7 +73,8 @@ class TestRun:
         ]
 
     def test_import_loads_no_thread_pool_or_svg(self):
-        # A fresh interpreter: the pool and the chart writer load only when used.
+        # A fresh interpreter: the pool and the plot/summary code load only when used,
+        # and no dataclass machinery loads at all.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
@@ -81,11 +82,26 @@ class TestRun:
         done = subprocess.run(
             [sys.executable, "-c",
              "import sys; from ddrbench import cli, harness; "
-             "print(sorted({'concurrent.futures', 'ddrbench.svg'} & set(sys.modules)))"],
+             "print(sorted({'concurrent.futures', 'dataclasses', 'ddrbench.charts', "
+             "'ddrbench.svg'} & set(sys.modules)))"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_help_quotes_config_defaults(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["run", "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in (
+            "samples per dataset (default 1000)",
+            "feature columns (default 10)",
+            "number of DDR grid points (default 21)",
+            "datasets per grid point (default 5)",
+            "master seed (default 0)",
+        ):
+            assert phrase in text
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

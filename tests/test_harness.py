@@ -12,6 +12,7 @@ import pytest
 from ddrbench import datagen, harness, models
 from ddrbench.datagen import CLASSIFICATION, REGRESSION
 from ddrbench.errors import ConfigError, DomainError
+from ddrbench.evaluation import CurvePoint, PerformanceReport
 from ddrbench.harness import (
     ExperimentConfig,
     _grid_key,
@@ -165,6 +166,31 @@ class TestConfigValidation:
         for fixed in ("train_fraction", "burn_in"):
             with pytest.raises(TypeError):
                 ExperimentConfig(task=REGRESSION, models=("olsr",), **{fixed: 50})
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: ExperimentConfig(task=REGRESSION, models=("olsr",)), "models"),
+        (lambda: models.ModelSpec("olsr"), "seed"),
+        (lambda: models.fit(models.ModelSpec("olsr"), np.eye(3), np.arange(3.0)), "impl"),
+        (lambda: CurvePoint(0.0, 1.0, 1.0, 0.0, 0.0, 1), "ddr"),
+        (
+            lambda: PerformanceReport(
+                model="olsr", task=REGRESSION, generator="linear", config={}, master_seed=0
+            ),
+            "auc_test",
+        ),
+    ],
+    ids=["ExperimentConfig", "ModelSpec", "TrainedModel", "CurvePoint", "PerformanceReport"],
+)
+def test_value_types_are_immutable(make, field):
+    # One config object is read by every pool thread, so no field may change after it is built.
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
 
 
 class TestRunExperiment:
