@@ -109,7 +109,7 @@ class ExperimentConfig(_ExperimentConfigFields):
             raise ConfigError("ddr grid must be strictly increasing")
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise ConfigError("ddr grid must start at 0 and end at 1")
-        self = self._replace(models=models, ddr_grid=grid)
+        self = super().__new__(cls, **{**self._asdict(), "models": models, "ddr_grid": grid})
         for name in ("n_samples", "n_features", "tuples_per_grid_point", "master_seed"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
@@ -134,6 +134,11 @@ class ExperimentConfig(_ExperimentConfigFields):
             if gen == "two_class" and self.n_samples % 2 != 0:
                 raise ConfigError(f"{kind} uses two_class, which needs an even n_samples")
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ExperimentConfig":
+        # _replace builds through _make, so a replaced config is checked too.
+        return cls(*iterable)
 
     def generator_for(self, kind: str) -> str:
         return MODELS[kind].generator if self.generator == "auto" else self.generator

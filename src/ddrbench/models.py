@@ -38,7 +38,12 @@ class ModelSpec(_ModelSpecFields):
             raise DomainError(
                 f"unknown model kind {self.kind!r}; valid kinds: {', '.join(MODEL_KINDS)}"
             )
-        return self._replace(kind=kind)
+        return super().__new__(cls, kind, self.seed)
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelSpec":
+        # _replace builds through _make, so a replaced spec is checked too.
+        return cls(*iterable)
 
 
 class TrainedModel(NamedTuple):
@@ -382,16 +387,15 @@ class _LinearStack:
 class LinearSvr(_LinearStack):
     """Linear epsilon-insensitive regression trained by subgradient descent.
 
-    Objective: 0.5 ||w||^2 + c * sum_i max(0, |w.x_i + b - y_i| - epsilon),
+    Objective: 0.5 ||w||^2 + sum_i max(0, |w.x_i + b - y_i| - epsilon),
     with step_t = step / sqrt(t) over full-batch epochs.  The direction is
     sign(r) outside the tube |r| > epsilon and 0 inside it, and the update
-    keeps the order of w -= step_t * (w + c * (X.T @ s)), so the fitted bits
-    are those of the allocate-per-epoch loop.
+    keeps the order of w -= step_t * (w + X.T @ s), so the fitted bits are
+    those of the allocate-per-epoch loop.
     """
 
-    def __init__(self, epsilon: float, c: float, epochs: int, step: float):
+    def __init__(self, epsilon: float, epochs: int, step: float):
         self.epsilon = float(epsilon)
-        self.c = float(c)
         self.epochs = int(epochs)
         self.step = float(step)
 
@@ -403,11 +407,10 @@ class LinearSvr(_LinearStack):
 
     def _step(self, t: int, w: np.ndarray, b: np.ndarray, g: np.ndarray, s: np.ndarray) -> None:
         eta = self.step / math.sqrt(t)
-        g *= self.c
         g += w
         g *= eta
         w -= g
-        b -= eta * self.c * np.add.reduce(s, axis=1)
+        b -= eta * np.add.reduce(s, axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._scores(X)
@@ -418,12 +421,11 @@ class LinearSvc(_LinearStack):
 
     The regressor's schedule on the hinge loss of y' = 2y - 1: the direction
     is y' where the margin y' (X @ w + b) is below 1, else 0, and the update
-    keeps the order of w -= step_t * (w - c * (X.T @ a)).  Scores of exactly
-    zero predict class 1.
+    keeps the order of w -= step_t * (w - X.T @ a).  Scores of exactly zero
+    predict class 1.
     """
 
-    def __init__(self, c: float, epochs: int, step: float):
-        self.c = float(c)
+    def __init__(self, epochs: int, step: float):
         self.epochs = int(epochs)
         self.step = float(step)
 
@@ -439,11 +441,10 @@ class LinearSvc(_LinearStack):
 
     def _step(self, t: int, w: np.ndarray, b: np.ndarray, g: np.ndarray, a: np.ndarray) -> None:
         eta = self.step / math.sqrt(t)
-        g *= self.c
         np.subtract(w, g, out=g)
         g *= eta
         w -= g
-        b += eta * self.c * np.add.reduce(a, axis=1)
+        b += eta * np.add.reduce(a, axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self._scores(X) >= 0.0).astype(np.float64)
@@ -452,19 +453,16 @@ class LinearSvc(_LinearStack):
 class LogisticClassifier(_LinearStack):
     """Binary logistic regression by full-batch gradient descent.
 
-    The direction is the gap sigmoid(X @ w + b) - y, and the weight step is
-    (step * X.T @ gap) / n in that order: dividing by n first rounds
-    differently and changes the fitted bits.  Probability ties at 0.5
-    predict class 1, so the zero-weight model labels everything 1.
+    Trains for ``epochs`` full-batch steps.  The direction is the gap
+    sigmoid(X @ w + b) - y, and the weight step is (step * X.T @ gap) / n in
+    that order: dividing by n first rounds differently and changes the
+    fitted bits.  Probability ties at 0.5 predict class 1, so the zero-weight
+    model labels everything 1.
     """
 
-    def __init__(self, iterations: int, step: float):
-        self.iterations = int(iterations)
+    def __init__(self, epochs: int, step: float):
+        self.epochs = int(epochs)
         self.step = float(step)
-
-    @property
-    def epochs(self) -> int:
-        return self.iterations
 
     def _direction(self, z: np.ndarray, y: np.ndarray, gap: np.ndarray, _: np.ndarray) -> None:
         _sigmoid(z, out=gap)
@@ -477,11 +475,8 @@ class LogisticClassifier(_LinearStack):
         w -= g
         b -= self.step * (np.add.reduce(gap, axis=1) / n)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self._scores(X))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.float64)
+        return (_sigmoid(self._scores(X)) >= 0.5).astype(np.float64)
 
 
 class MlpClassifier:
@@ -537,21 +532,6 @@ class MlpClassifier:
         np.sum(dz2, out=grads["b2"])
 
     @staticmethod
-    def _loss(z2: np.ndarray, y: np.ndarray) -> float:
-        """Mean cross-entropy of output scores ``z2`` against 0/1 labels ``y``."""
-        terms = np.logaddexp(0.0, z2)
-        terms -= y * z2
-        return float(np.add.reduce(terms)) / terms.size
-
-    @staticmethod
-    def loss_and_grads(params: Dict[str, np.ndarray], X: np.ndarray, y: np.ndarray):
-        """Mean cross-entropy and its gradients as fresh arrays; ``params`` is not modified."""
-        grads = {name: np.empty(np.shape(value)) for name, value in params.items()}
-        buffers = MlpClassifier._buffers(X.shape[0], np.shape(params["b1"])[0])
-        MlpClassifier._gradients(params, X, y, grads, *buffers)
-        return MlpClassifier._loss(buffers[1], y), grads
-
-    @staticmethod
     def init_params(n_features: int, hidden_units: int, init_scale: float, seed: int):
         rng = make_rng(seed)
         return {
@@ -578,12 +558,10 @@ class MlpClassifier:
         self.params = params
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        hidden = np.tanh(X @ self.params["w1"] + self.params["b1"])
-        return _sigmoid(hidden @ self.params["w2"] + self.params["b2"])
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.float64)
+        hidden = np.tanh(X @ self.params["w1"] + self.params["b1"])
+        output = _sigmoid(hidden @ self.params["w2"] + self.params["b2"])
+        return (output >= 0.5).astype(np.float64)
 
 
 class ModelEntry(NamedTuple):
@@ -606,15 +584,11 @@ MODELS: Dict[str, ModelEntry] = {
     "olsr": ModelEntry("linear", lambda seed: OlsRegressor()),
     "dtr": ModelEntry("friedman1", lambda seed: CartTree(10, 80, classification=False)),
     "knnr": ModelEntry("friedman1", lambda seed: KnnModel(5, classification=False)),
-    "lsvr": ModelEntry(
-        "linear", lambda seed: LinearSvr(0.1, c=1.0, epochs=200, step=1e-3), stacked=True
-    ),
+    "lsvr": ModelEntry("linear", lambda seed: LinearSvr(0.1, epochs=200, step=1e-3), stacked=True),
     "blrc": ModelEntry("two_class", lambda seed: LogisticClassifier(500, step=0.1), stacked=True),
     "dtc": ModelEntry("two_class", lambda seed: CartTree(10, 80, classification=True)),
     "knnc": ModelEntry("two_class", lambda seed: KnnModel(5, classification=True)),
-    "lsvc": ModelEntry(
-        "two_class", lambda seed: LinearSvc(c=1.0, epochs=200, step=1e-3), stacked=True
-    ),
+    "lsvc": ModelEntry("two_class", lambda seed: LinearSvc(epochs=200, step=1e-3), stacked=True),
     "mlpc": ModelEntry("two_class", lambda seed: MlpClassifier(32, 300, 0.05, 0.5, seed)),
 }
 MODEL_KINDS: Tuple[str, ...] = tuple(MODELS)

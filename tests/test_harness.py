@@ -158,6 +158,20 @@ class TestConfigValidation:
         (report,) = run_experiment(cfg)
         assert report.complete and report.curve[0].replicates == 1
 
+    @pytest.mark.parametrize(
+        "change", [dict(n_samples=3), dict(models=("BOOST",))], ids=["samples", "model"]
+    )
+    def test_replace_is_checked(self, change):
+        config = ExperimentConfig(task=REGRESSION, models=("olsr",))
+        with pytest.raises(ConfigError):
+            config._replace(**change)
+
+    def test_replace_is_normalised(self):
+        config = ExperimentConfig(task=REGRESSION, models=("olsr",))._replace(
+            models=("DTR", "olsr")
+        )
+        assert config.models == ("dtr", "olsr")
+
     def test_echo_keeps_train_fraction(self):
         # Fixed run settings stay in the echo (and so in the report bytes) but are no fields.
         echo = ExperimentConfig(task=REGRESSION, models=("olsr",)).echo()
