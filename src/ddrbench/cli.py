@@ -31,8 +31,9 @@ CONFIG_KEYS = (
 
 
 def _read_utf8(path: str) -> str:
+    # "utf-8-sig" also drops one leading byte-order mark.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
 

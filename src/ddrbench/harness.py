@@ -109,6 +109,14 @@ class ExperimentConfig(_ExperimentConfigFields):
             raise ConfigError("ddr grid must be strictly increasing")
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise ConfigError("ddr grid must start at 0 and end at 1")
+        # The seed key and the CSV's six-decimal DDR both rise with the DDR,
+        # so two points that either of them merges are neighbours.
+        for a, b in zip(grid, grid[1:]):
+            if _grid_key(a) == _grid_key(b) or f"{a:.6f}" == f"{b:.6f}":
+                raise ConfigError(
+                    f"ddr grid points {a!r} and {b!r} are too close: "
+                    "they would share a seed or a CSV row"
+                )
         self = super().__new__(cls, **{**self._asdict(), "models": models, "ddr_grid": grid})
         for name in ("n_samples", "n_features", "tuples_per_grid_point", "master_seed"):
             if type(getattr(self, name)) is not int:

@@ -89,17 +89,6 @@ class OlsRegressor:
         return X @ self.weights + self.intercept
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value=None, feature=None, threshold=None, left=None, right=None):
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
 def _best_split(xs: np.ndarray, ys: np.ndarray, y: np.ndarray, classification: bool):
     """Exhaustive split search over one node; score is the summed child impurity.
 
@@ -139,8 +128,10 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, y: np.ndarray, classification: b
 class CartTree:
     """CART with variance-reduction (regression) or Gini (classification) splits.
 
-    Leaf values are the target mean for regression and the majority class for
-    classification, majority ties resolved to class 1.
+    ``root`` is a nested tuple: a leaf is ``(value,)`` and a split is
+    ``(feature, threshold, left, right)``, rows with ``x[feature] <= threshold``
+    going left.  Leaf values are the target mean for regression and the
+    majority class for classification, majority ties resolved to class 1.
 
     ``fit`` sorts each feature once, in the order one stable argsort of the
     (features x rows) transpose gives, and hands each child its parent's
@@ -159,16 +150,14 @@ class CartTree:
         self.min_samples_split = int(min_samples_split)
         self.classification = classification
 
-    def _leaf(self, y: np.ndarray) -> _Node:
+    def _leaf(self, y: np.ndarray) -> tuple:
         if self.classification:
-            value = 1.0 if 2.0 * float(np.add.reduce(y)) >= y.size else 0.0
-        else:
-            value = float(np.add.reduce(y)) / y.size  # the bits of np.mean(y)
-        return _Node(value=value)
+            return (1.0 if 2.0 * float(np.add.reduce(y)) >= y.size else 0.0,)
+        return (float(np.add.reduce(y)) / y.size,)  # the bits of np.mean(y)
 
     def _grow(
         self, XT: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int
-    ) -> _Node:
+    ) -> tuple:
         """Grow the subtree over ``rows`` (ascending); ``order`` holds, per
         feature, the same rows by ascending value (features x rows)."""
         y_node = y[rows]
@@ -187,11 +176,12 @@ class CartTree:
         feature, threshold = split
         go_left = XT[feature] <= threshold  # over every row; only the node's are read
         left = go_left[order]
-        node = _Node(feature=feature, threshold=threshold)
-        depth += 1
-        node.left = self._grow(XT, y, rows[go_left[rows]], order[left].reshape(f, -1), depth)
-        node.right = self._grow(XT, y, rows[~go_left[rows]], order[~left].reshape(f, -1), depth)
-        return node
+        return (
+            feature,
+            threshold,
+            self._grow(XT, y, rows[go_left[rows]], order[left].reshape(f, -1), depth + 1),
+            self._grow(XT, y, rows[~go_left[rows]], order[~left].reshape(f, -1), depth + 1),
+        )
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CartTree":
         XT = np.ascontiguousarray(X.T)
@@ -212,12 +202,13 @@ class CartTree:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
-            if node.value is not None:
-                out[idx] = node.value
+            if len(node) == 1:
+                out[idx] = node[0]
                 continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+            feature, threshold, left, right = node
+            mask = X[idx, feature] <= threshold
+            stack.append((left, idx[mask]))
+            stack.append((right, idx[~mask]))
         return out
 
 
@@ -352,6 +343,10 @@ class _LinearStack:
 
     learned = ("weights", "intercept")
 
+    def __init__(self, epochs: int, step: float):
+        self.epochs = int(epochs)
+        self.step = float(step)
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearStack":
         if X.ndim == 2:
             w, b = self._train(X[None], y[None])
@@ -395,9 +390,8 @@ class LinearSvr(_LinearStack):
     """
 
     def __init__(self, epsilon: float, epochs: int, step: float):
+        super().__init__(epochs, step)
         self.epsilon = float(epsilon)
-        self.epochs = int(epochs)
-        self.step = float(step)
 
     def _direction(self, r: np.ndarray, y: np.ndarray, s: np.ndarray, outside: np.ndarray) -> None:
         r -= y
@@ -424,10 +418,6 @@ class LinearSvc(_LinearStack):
     keeps the order of w -= step_t * (w - X.T @ a).  Scores of exactly zero
     predict class 1.
     """
-
-    def __init__(self, epochs: int, step: float):
-        self.epochs = int(epochs)
-        self.step = float(step)
 
     def _train(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return super()._train(X, 2.0 * y - 1.0)
@@ -460,10 +450,6 @@ class LogisticClassifier(_LinearStack):
     model labels everything 1.
     """
 
-    def __init__(self, epochs: int, step: float):
-        self.epochs = int(epochs)
-        self.step = float(step)
-
     def _direction(self, z: np.ndarray, y: np.ndarray, gap: np.ndarray, _: np.ndarray) -> None:
         _sigmoid(z, out=gap)
         gap -= y
@@ -483,9 +469,10 @@ class MlpClassifier:
     """One hidden tanh layer, logistic output, mean cross-entropy loss.
 
     Full-batch gradient descent with a fixed step from i.i.d.
-    U[-init_scale, init_scale] weights and biases.  An epoch computes only
-    the gradients (no loss, no history); ``params`` are views into one flat
-    buffer, updated by g *= step and p -= g, so each is p - (step * g).
+    U[-init_scale, init_scale] weights and biases, drawn by one ``uniform`` call
+    into a flat buffer (the bits of drawing w1, b1, w2 and b2 in turn).  An
+    epoch computes only the gradients (no loss, no history); ``params`` are
+    views into that buffer, updated by g *= step and p -= g, so each is p - (step * g).
 
     The kernel ``_gradients`` keeps the plain formulas' operation order,
     since any reordering changes the fitted bits.  ``einsum("i,j->ij")``
@@ -531,23 +518,13 @@ class MlpClassifier:
         np.matmul(hidden.T, dz2, out=grads["w2"])
         np.sum(dz2, out=grads["b2"])
 
-    @staticmethod
-    def init_params(n_features: int, hidden_units: int, init_scale: float, seed: int):
-        rng = make_rng(seed)
-        return {
-            "w1": rng.uniform(-init_scale, init_scale, size=(n_features, hidden_units)),
-            "b1": rng.uniform(-init_scale, init_scale, size=hidden_units),
-            "w2": rng.uniform(-init_scale, init_scale, size=hidden_units),
-            "b2": rng.uniform(-init_scale, init_scale, size=()),
-        }
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MlpClassifier":
-        init = self.init_params(X.shape[1], self.hidden_units, self.init_scale, self.seed)
-        flat = np.concatenate([np.ravel(value) for value in init.values()])
+        f, h, scale = X.shape[1], self.hidden_units, self.init_scale
+        flat = make_rng(self.seed).uniform(-scale, scale, size=f * h + 2 * h + 1)
         flat_grads = np.empty_like(flat)
-        cuts = np.cumsum([value.size for value in init.values()])[:-1]
         params, grads = (
-            {name: part.reshape(init[name].shape) for name, part in zip(init, np.split(b, cuts))}
+            {"w1": b[: f * h].reshape(f, h), "b1": b[f * h : -h - 1],
+             "w2": b[-h - 1 : -1], "b2": b[-1:].reshape(())}
             for b in (flat, flat_grads)
         )
         buffers = self._buffers(X.shape[0], self.hidden_units)

@@ -6,8 +6,20 @@ import pytest
 from ddrbench.datagen import CLASSIFICATION, REGRESSION
 from ddrbench.harness import ExperimentConfig, run_experiment
 from ddrbench.models import CLASSIFICATION_KINDS, REGRESSION_KINDS, MlpClassifier
+from ddrbench.rng import make_rng
 
 ACCEPTANCE_SEED = 12345
+
+
+def mlp_init(n_features, hidden_units, init_scale, seed):
+    """The perceptron's initial parameters, drawn one block at a time."""
+    rng = make_rng(seed)
+    return {
+        "w1": rng.uniform(-init_scale, init_scale, size=(n_features, hidden_units)),
+        "b1": rng.uniform(-init_scale, init_scale, size=hidden_units),
+        "w2": rng.uniform(-init_scale, init_scale, size=hidden_units),
+        "b2": rng.uniform(-init_scale, init_scale, size=()),
+    }
 
 
 def mlp_loss(params, X, y):

@@ -20,13 +20,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, spearmanr
 
-from conftest import grad_check_error
+from conftest import grad_check_error, mlp_init
 from ddrbench.cli import main as cli_main
 from ddrbench.datagen import inject_noise
 from ddrbench.errors import DegenerateSignalError
 from ddrbench.evaluation import f1_score, nmse_accuracy, normalized_auc, trust_point
 from ddrbench.harness import ExperimentConfig, report_payload, run_experiment
-from ddrbench.models import MlpClassifier
 from ddrbench.rng import make_rng
 from ddrbench.sampler import sample_ddr_tuples
 from ddrbench.signals import (
@@ -422,7 +421,7 @@ def test_criterion_09_mlp_gradient_check():
         rng = make_rng(5000 + seed)
         X = rng.standard_normal((3, 4))
         y = (rng.uniform(size=3) > 0.5).astype(float)
-        params = MlpClassifier.init_params(4, 4, 0.5, seed=seed)
+        params = mlp_init(4, 4, 0.5, seed=seed)
         worst = max(worst, grad_check_error(params, X, y))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-5 and elapsed < 1.0

@@ -206,6 +206,17 @@ class TestRun:
         assert err.startswith(f"error: {config}: not valid UTF-8")
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_byte_order_mark(self, tmp_path):
+        text = "task = regression\nmodels = olsr\nsamples = 120\nfeatures = 4\n"
+        text += "grid = 3\nreplicates = 1\n"
+        outputs = {}
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(prefix + text.encode() + f"out = {tmp_path / name}\n".encode())
+            assert main(["run", "--config", str(config)]) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert outputs["bom"] == outputs["plain"]
+
     def test_partial_completion_exit_two(self, tmp_path, monkeypatch):
         import ddrbench.harness as harness
         from ddrbench.errors import DomainError

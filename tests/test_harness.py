@@ -72,6 +72,21 @@ class TestConfigValidation:
                 task=REGRESSION, models=("olsr",), ddr_grid=(0.0, float("nan"), 1.0)
             )
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(0.0, 0.3, 0.3000001, 1.0), (0.0, 1e-10, 1.0), (0.0, 0.3000004999, 0.3000005001, 1.0)],
+        ids=["same-csv-ddr", "same-seed-key-and-csv-ddr", "same-seed-key"],
+    )
+    def test_grid_points_too_close_rejected(self, grid):
+        # The last pair prints as 0.300000 and 0.300001 but shares a seed key.
+        with pytest.raises(ConfigError, match="too close"):
+            ExperimentConfig(task=REGRESSION, models=("olsr",), ddr_grid=grid)
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.25, 0.5, 1.0), default_grid(21)])
+    def test_distinct_grid_points_accepted(self, grid):
+        config = ExperimentConfig(task=REGRESSION, models=("olsr",), ddr_grid=grid)
+        assert config.ddr_grid == tuple(grid)
+
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(task=REGRESSION, models=("olsr", "gbm"))

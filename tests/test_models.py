@@ -30,7 +30,7 @@ from ddrbench.models import (
 from ddrbench.rng import make_rng
 
 
-from conftest import grad_check_error, mlp_loss
+from conftest import grad_check_error, mlp_init, mlp_loss
 
 
 class TestModelSpec:
@@ -469,7 +469,7 @@ class TestMlp:
         rng = make_rng(16)
         X = rng.standard_normal((3, 4))
         y = (rng.uniform(size=3) > 0.5).astype(float)
-        params = MlpClassifier.init_params(4, 5, 0.5, seed=17)
+        params = mlp_init(4, 5, 0.5, seed=17)
         assert grad_check_error(params, X, y) <= 1e-5
 
     def test_loss_non_increasing(self):
@@ -524,9 +524,20 @@ class TestMlp:
         assert np.all(model.predict(X) == 1.0)
 
     def test_seed_changes_init(self):
-        a = MlpClassifier.init_params(3, 4, 0.5, seed=1)
-        b = MlpClassifier.init_params(3, 4, 0.5, seed=2)
+        X, y = gen_two_class(40, 3, make_rng(42))
+        a, b = (MlpClassifier(4, 0, 0.05, 0.5, seed).fit(X, y).params for seed in (1, 2))
         assert not np.array_equal(a["w1"], b["w1"])
+
+    @pytest.mark.parametrize("n_features,hidden_units", [(1, 1), (3, 4), (10, 32)])
+    def test_one_draw_matches_blockwise_init(self, n_features, hidden_units):
+        # No epoch runs, so the fitted parameters are the initial draw.
+        X, y = gen_two_class(40, n_features, make_rng(43))
+        params = MlpClassifier(hidden_units, 0, 0.05, 0.5, seed=44).fit(X, y).params
+        expected = mlp_init(n_features, hidden_units, 0.5, seed=44)
+        assert params.keys() == expected.keys()
+        for name, value in expected.items():
+            assert params[name].shape == value.shape, name
+            assert params[name].tobytes() == value.tobytes(), name
 
 
 def masked_sigmoid(z):
@@ -556,7 +567,7 @@ def reference_mlp_loss_and_grads(params, X, y):
 
 def reference_mlp_fit(X, y, hidden_units, epochs, step, init_scale, seed):
     """Fresh arrays every epoch; each parameter replaced by p - step * g."""
-    params = MlpClassifier.init_params(X.shape[1], hidden_units, init_scale, seed)
+    params = mlp_init(X.shape[1], hidden_units, init_scale, seed)
     history = []
     for _ in range(epochs):
         loss, grads = reference_mlp_loss_and_grads(params, X, y)
@@ -704,14 +715,9 @@ def reference_tree_predict(tree, X):
 
 def preorder(tree):
     """(feature, threshold bits) per split and (None, value bits) per leaf, in preorder."""
-    if isinstance(tree, tuple):
-        if len(tree) == 1:
-            return [(None, np.float64(tree[0]).tobytes())]
-        feature, threshold, left, right = tree
-    elif tree.value is not None:
-        return [(None, np.float64(tree.value).tobytes())]
-    else:
-        feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    if len(tree) == 1:
+        return [(None, np.float64(tree[0]).tobytes())]
+    feature, threshold, left, right = tree
     return [(feature, np.float64(threshold).tobytes())] + preorder(left) + preorder(right)
 
 
