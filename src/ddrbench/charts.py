@@ -152,12 +152,19 @@ def cmd_summary(args) -> int:
     if Path(svg_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"the table and the bar chart would both be written to {args.out}")
     _refuse_overwriting_inputs([args.out, svg_path], args.reports)
-    payloads = []
+    payloads, paths = [], {}  # paths: model -> its complete report's path
     for path in args.reports:
         payload = read_report_json(path)
         if payload["auc_test"] is None:
             print(f"skipping incomplete report {path}", file=sys.stderr)
             continue
+        model = payload["model"]
+        if model in paths:
+            raise ConfigError(
+                f"{paths[model]} and {path} are both complete {model} reports; "
+                "the summary has one row per model"
+            )
+        paths[model] = path
         payloads.append(payload)
     if not payloads:
         raise ConfigError("no complete reports to summarize")

@@ -14,7 +14,6 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .errors import DegenerateDeterministicError, DomainError
-from .rng import RandomSource
 
 REGRESSION = "regression"
 CLASSIFICATION = "binary-classification"
@@ -24,7 +23,7 @@ CLASS_SEP = 2.0
 
 
 def gen_linear_regression(
-    n_samples: int, n_features: int, rng: RandomSource
+    n_samples: int, n_features: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gaussian features with targets from a hidden linear map.
 
@@ -40,7 +39,7 @@ def gen_linear_regression(
 
 
 def gen_friedman1(
-    n_samples: int, n_features: int, rng: RandomSource
+    n_samples: int, n_features: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The Friedman #1 benchmark surface over U[0,1] features.
 
@@ -60,7 +59,7 @@ def gen_friedman1(
 
 
 def gen_two_class(
-    n_samples: int, n_features: int, rng: RandomSource, class_sep: float = CLASS_SEP
+    n_samples: int, n_features: int, rng: np.random.Generator, class_sep: float = CLASS_SEP
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Two identity-covariance Gaussian clusters at +/- class_sep along a random axis.
 
@@ -102,7 +101,7 @@ GENERATOR_TASKS: Dict[str, str] = {
 
 
 def inject_noise(
-    features: np.ndarray, rs: np.ndarray, rng: RandomSource
+    features: np.ndarray, rs: np.ndarray, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Standardize every clean feature column at its per-column DDR.
 

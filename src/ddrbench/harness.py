@@ -33,13 +33,13 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import datagen
 from .datagen import CLASS_SEP, CLASSIFICATION, GENERATOR_TASKS, GENERATORS, REGRESSION
 from .errors import ConfigError, DdrBenchError
 from .evaluation import CurvePoint, PerformanceReport, f1_score, nmse_accuracy, report_from_curve
 from .models import CLASSIFICATION_KINDS, MODELS, REGRESSION_KINDS, ModelSpec, fit, predict
-from .rng import fnv1a64, make_rng, mix_seed
 from .sampler import BURN_IN, THINNING, sample_ddr_tuples
 
 SCHEMA_VERSION = 1
@@ -167,16 +167,35 @@ class ExperimentConfig(_ExperimentConfigFields):
         }
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    """One splitmix64 finalizer round; a bijection on 64-bit integers."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
 def seed_derivation(
     master_seed: int, grid_index: int, replicate_index: int, stage_tag: str
 ) -> int:
-    """Collision-resistant seed for one stage of one sweep cell.
+    """Collision-resistant seed in [0, 2**64) for one stage of one sweep cell.
 
-    Chained splitmix64 mixing: for any fixed three arguments, varying the
-    fourth always changes the seed, and stage tags separate the datagen,
-    sampler, split, and model streams.
+    The stage tag is hashed with 64-bit FNV-1a, and each part (master seed,
+    grid index, replicate index, tag hash), masked to 64 bits, is folded in
+    by xor and a splitmix64 round.  So for any fixed three arguments,
+    varying the fourth always changes the seed, and stage tags separate the
+    datagen, noise, sampler, split and model streams.
     """
-    return mix_seed(master_seed, grid_index, replicate_index, fnv1a64(stage_tag))
+    tag_hash = 0xCBF29CE484222325
+    for byte in stage_tag.encode("utf-8"):
+        tag_hash = ((tag_hash ^ byte) * 0x100000001B3) & _MASK64
+    h = 0
+    for part in (master_seed, grid_index, replicate_index, tag_hash):
+        h = _splitmix64(h ^ (part & _MASK64))
+    return h
 
 
 def _grid_key(ddr: float) -> int:
@@ -189,9 +208,10 @@ def _train_size(n: int) -> int:
     return min(max(int(round(TRAIN_FRACTION * n)), 1), n - 1)
 
 
-def _split_indices(targets: np.ndarray, task: str, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+def _split_indices(
+    targets: np.ndarray, task: str, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
     # Each label's rows, or all n rows as rng.permutation(n) = rng.permutation(np.arange(n)).
-    rng = make_rng(seed)
     if task == CLASSIFICATION:
         groups = [np.flatnonzero(targets == label) for label in (0.0, 1.0)]
     else:
@@ -209,15 +229,13 @@ def _noisy_split(
     config: ExperimentConfig, generator_id: str, key: int, replicate: int, rs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One replicate's noisy dataset from one generator, as read-only train and test arrays."""
-    gen_rng = make_rng(seed_derivation(config.master_seed, key, replicate, "datagen"))
-    clean, targets = GENERATORS[generator_id](config.n_samples, config.n_features, gen_rng)
-    deterministic, noise = datagen.inject_noise(
-        clean, rs, make_rng(seed_derivation(config.master_seed, key, replicate, "noise"))
+    seed = partial(seed_derivation, config.master_seed, key, replicate)
+    clean, targets = GENERATORS[generator_id](
+        config.n_samples, config.n_features, default_rng(seed("datagen"))
     )
+    deterministic, noise = datagen.inject_noise(clean, rs, default_rng(seed("noise")))
     features = deterministic + noise
-    train_idx, test_idx = _split_indices(
-        targets, config.task, seed_derivation(config.master_seed, key, replicate, "split")
-    )
+    train_idx, test_idx = _split_indices(targets, config.task, default_rng(seed("split")))
     split = (features[train_idx], targets[train_idx], features[test_idx], targets[test_idx])
     # Every model on this generator gets these same arrays, so none may write into them.
     for arr in split:
@@ -287,7 +305,7 @@ def _run_grid_point(
             config.n_features,
             ddr,
             config.tuples_per_grid_point,
-            make_rng(seed_derivation(config.master_seed, key, 0, "sampler")),
+            default_rng(seed_derivation(config.master_seed, key, 0, "sampler")),
         )
     except DdrBenchError as exc:
         return {kind: [failure(kind, ri, exc) for ri in replicates] for kind in cells}

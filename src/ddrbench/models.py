@@ -14,10 +14,10 @@ import math
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from .datagen import CLASSIFICATION, GENERATOR_TASKS, REGRESSION
 from .errors import DomainError
-from .rng import make_rng
 
 
 class _ModelSpecFields(NamedTuple):
@@ -490,7 +490,9 @@ class MlpClassifier:
         self.epochs = int(epochs)
         self.step = float(step)
         self.init_scale = float(init_scale)
-        self.seed = int(seed)
+        if type(seed) is not int or not 0 <= seed < 1 << 64:
+            raise DomainError(f"mlpc seed must be an integer in [0, 2**64), not {seed!r}")
+        self.seed = seed
 
     @staticmethod
     def _buffers(n: int, h: int) -> list:
@@ -520,7 +522,7 @@ class MlpClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MlpClassifier":
         f, h, scale = X.shape[1], self.hidden_units, self.init_scale
-        flat = make_rng(self.seed).uniform(-scale, scale, size=f * h + 2 * h + 1)
+        flat = default_rng(self.seed).uniform(-scale, scale, size=f * h + 2 * h + 1)
         flat_grads = np.empty_like(flat)
         params, grads = (
             {"w1": b[: f * h].reshape(f, h), "b1": b[f * h : -h - 1],

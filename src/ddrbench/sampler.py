@@ -27,7 +27,6 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, SamplerError
-from .rng import RandomSource
 from .signals import DdrValue
 
 _MIN_NORM = 1e-12
@@ -77,7 +76,7 @@ def _moved(coords: List[float], d: List[float], lam: float, total: float) -> Lis
     return [0.0 if (v := xi + shift) < 0.0 else 1.0 if v > 1.0 else v for xi in x]
 
 
-def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.ndarray:
+def _chain(s: np.ndarray, total: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """The (count, n) states the chain from s keeps: after BURN_IN steps, then every THINNING."""
     n = s.size
     coords = s.tolist()
@@ -133,7 +132,7 @@ def _chain(s: np.ndarray, total: float, count: int, rng: RandomSource) -> np.nda
     return states
 
 
-def sample_ddr_tuples(n: int, target: float, count: int, rng: RandomSource) -> np.ndarray:
+def sample_ddr_tuples(n: int, target: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw per-column DDR tuples for a dataset-level target R.
 
     Returns a read-only (count, n) float64 array, one tuple per row, whose

@@ -6,7 +6,7 @@ import pytest
 from ddrbench.datagen import CLASSIFICATION, REGRESSION
 from ddrbench.harness import ExperimentConfig, run_experiment
 from ddrbench.models import CLASSIFICATION_KINDS, REGRESSION_KINDS, MlpClassifier
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 
 ACCEPTANCE_SEED = 12345
 

@@ -26,7 +26,7 @@ from ddrbench.datagen import inject_noise
 from ddrbench.errors import DegenerateSignalError
 from ddrbench.evaluation import f1_score, nmse_accuracy, normalized_auc, trust_point
 from ddrbench.harness import ExperimentConfig, report_payload, run_experiment
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 from ddrbench.sampler import sample_ddr_tuples
 from ddrbench.signals import (
     ddr_approx,

@@ -472,6 +472,23 @@ class TestSummary:
         assert capsys.readouterr().err == f"error: {flag} names no file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("copy", [False, True], ids=["same-path", "other-run"])
+    def test_one_model_twice_exit_one(self, report_dir, tmp_path, capsys, copy):
+        first = report_dir / "olsr_report.json"
+        second = first
+        if copy:
+            second = tmp_path / "again" / "olsr_report.json"
+            second.parent.mkdir()
+            second.write_bytes(first.read_bytes())
+        reports = [str(report_dir / "knnr_report.json"), str(first), str(second)]
+        out = tmp_path / "t.csv"
+        assert main(["summary", "--reports", *reports, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {first} and {second} are both complete olsr reports; "
+            "the summary has one row per model\n"
+        )
+        assert not out.exists() and not out.with_suffix(".svg").exists()
+
     def test_empty_reports_exit_one(self, tmp_path):
         assert main(["summary", "--out", str(tmp_path / "t.csv")]) == 1
 

@@ -15,7 +15,7 @@ from ddrbench.datagen import (
 from ddrbench.errors import DegenerateDeterministicError, DomainError
 from ddrbench.evaluation import f1_score
 from ddrbench.models import ModelSpec, fit, predict
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 from ddrbench.sampler import sample_ddr_tuples
 from ddrbench.signals import (
     ddr_approx,

@@ -24,7 +24,7 @@ from ddrbench.harness import (
     seed_derivation,
     write_summary_csv,
 )
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 
 SMALL = dict(
     n_samples=120,
@@ -50,6 +50,18 @@ class TestSeedDerivation:
         # one-field variation is injective by construction; scan 10^6 values
         seeds = {seed_derivation(99, 7, i, "datagen") for i in range(1_000_000)}
         assert len(seeds) == 1_000_000
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ((0, 0, 0, "datagen"), 2271089831490957530),
+            ((2**64 - 1, _grid_key(0.5), 4, "sampler"), 10894008429129076429),
+            ((12345, _grid_key(1.0), 0, "model"), 5283336578272988320),
+            ((7, 3, 2, ""), 1411125382965922192),
+        ],
+    )
+    def test_pinned_values(self, args, expected):
+        assert seed_derivation(*args) == expected
 
     def test_all_fields_matter(self):
         base = seed_derivation(1, 2, 3, "x")

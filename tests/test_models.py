@@ -27,7 +27,7 @@ from ddrbench.models import (
     fit,
     predict,
 )
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 
 
 from conftest import grad_check_error, mlp_init, mlp_loss
@@ -527,6 +527,22 @@ class TestMlp:
         X, y = gen_two_class(40, 3, make_rng(42))
         a, b = (MlpClassifier(4, 0, 0.05, 0.5, seed).fit(X, y).params for seed in (1, 2))
         assert not np.array_equal(a["w1"], b["w1"])
+
+    # Only an int in [0, 2**64) names a PCG64 stream of its own; nothing is masked or truncated.
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "x"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            MlpClassifier(32, 0, 0.05, 0.5, seed)
+
+    def test_bad_spec_seed_rejected_by_fit(self):
+        X, y = gen_two_class(40, 3, make_rng(45))
+        with pytest.raises(DomainError, match="seed"):
+            fit(ModelSpec("mlpc", seed=-1), X, y)
+
+    def test_largest_seed_fits(self):
+        X, y = gen_two_class(40, 3, make_rng(46))
+        params = MlpClassifier(4, 1, 0.05, 0.5, 2**64 - 1).fit(X, y).params
+        assert all(np.all(np.isfinite(value)) for value in params.values())
 
     @pytest.mark.parametrize("n_features,hidden_units", [(1, 1), (3, 4), (10, 32)])
     def test_one_draw_matches_blockwise_init(self, n_features, hidden_units):

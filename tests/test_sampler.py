@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 from ddrbench import sampler
 from ddrbench.errors import DomainError, SamplerError
 from ddrbench.harness import _grid_key, seed_derivation
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 from ddrbench.sampler import sample_ddr_tuples
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrbench.errors import DegenerateSignalError, DomainError
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 from ddrbench.signals import (
     DdrValue,
     ddr_approx,

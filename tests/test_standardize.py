@@ -10,7 +10,7 @@ import pytest
 
 from ddrbench.datagen import inject_noise
 from ddrbench.errors import DegenerateDeterministicError, DomainError
-from ddrbench.rng import make_rng
+from numpy.random import default_rng as make_rng
 from ddrbench.signals import ddr_approx, power
 
 
